@@ -425,7 +425,7 @@ runRpcSmall(const Options& o, WorkloadOutput& out)
     SocketSpec spec;
     spec.sharded = false;
     spec.connections = 2;
-    spec.setupReps = 25;
+    spec.setupReps = 75;
     spec.variants = 16;
     // Far below capacity: at 4000 req/s and up, a spell of host CPU
     // steal let queues build and moved p50 by 2-3x between runs.

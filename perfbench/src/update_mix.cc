@@ -25,6 +25,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <future>
 #include <thread>
 
 #include "common/rng.hh"
@@ -44,11 +45,15 @@ constexpr Index kDim = 8192;
 constexpr Index kPerRow = 16;
 constexpr int kReaders = 2;
 constexpr int kVariants = 2;
-constexpr int kSetupReps = 15;
-/** Every kCrossEvery-th mutation crosses a format boundary. */
-constexpr std::uint64_t kCrossEvery = 50;
-/** Writer pace: one mutation per period. */
-constexpr auto kWritePeriod = std::chrono::milliseconds(10);
+constexpr int kSetupReps = 45;
+/** Every kCrossEvery-th mutation crosses a format boundary (about
+ *  once a second at the pace below). */
+constexpr std::uint64_t kCrossEvery = 25;
+/** Writer pace: one mutation per period. Every mutation makes the
+ *  next read re-encode the whole matrix (~3 ms on the one pool
+ *  thread, both readers waiting); at this pace that is ~10% of the
+ *  readers' time, so the reads still set the throughput. */
+constexpr auto kWritePeriod = std::chrono::milliseconds(40);
 /** Oracle epochs kept for readers still in flight. */
 constexpr std::size_t kEpochRing = 64;
 
@@ -60,6 +65,17 @@ struct Epoch
     std::uint64_t index = 0;
     std::vector<std::vector<Value>> y; //!< one per x variant
 };
+
+/** Spin-wait hint for a polling loop. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
 
 Value
 rowDot(const Row& row, const std::vector<Value>& x)
@@ -328,7 +344,10 @@ struct MixResult
 /** Readers + writer for @p seconds; reads use kHigh priority so a
  *  lone request flushes at once instead of waiting out the batch
  *  timer (a closed loop below maxBatch would otherwise measure that
- *  timer). */
+ *  timer). A reader polls its answer rather than sleeping on it: on
+ *  a VM, waking a halted vCPU waits for the host to schedule it, and
+ *  with one read in flight per reader that wait idled the pool and
+ *  made throughput follow the host's load. */
 MixResult
 runMix(serve::Session& session, serve::MatrixRegistry& registry,
        Writer& writer, const OracleSet& oracle, double seconds,
@@ -362,12 +381,13 @@ runMix(serve::Session& session, serve::MatrixRegistry& registry,
                     serve::StatusCode::kInternal, "not submitted");
                 {
                     ScopedSpan span(sink, "serve.session_spmv", i);
-                    result = session
-                                 .submit(serve::SpmvRequest{
-                                     kMatrixName,
-                                     oracle.x[static_cast<std::size_t>(v)],
-                                     options})
-                                 .get();
+                    auto answer = session.submit(serve::SpmvRequest{
+                        kMatrixName,
+                        oracle.x[static_cast<std::size_t>(v)], options});
+                    while (answer.wait_for(std::chrono::seconds(0)) !=
+                           std::future_status::ready)
+                        cpuRelax();
+                    result = answer.get();
                 }
                 last = Clock::now();
                 const std::uint64_t hi = writer.started();
