@@ -1,12 +1,16 @@
 #include "engine/autoselect.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
+#include "engine/dispatch.hh"
+#include "obs/metrics.hh"
 
 namespace smash::eng
 {
@@ -141,6 +145,110 @@ Format
 chooseFormat(const fmt::CooMatrix& coo)
 {
     return chooseFormat(analyzeStructure(coo));
+}
+
+namespace
+{
+
+constexpr int kProbeReps = 3;
+
+/** The contiguous middle row band of @p m holding about
+ *  kProbeSampleNnz non-zeros (whole rows, so at least that many). */
+fmt::CsrMatrix
+probeBand(const fmt::CsrMatrix& m)
+{
+    const auto& rp = m.rowPtr();
+    const auto lo =
+        static_cast<fmt::CsrIndex>((m.nnz() - kProbeSampleNnz) / 2);
+    const auto hi = static_cast<fmt::CsrIndex>(lo + kProbeSampleNnz);
+    // Last row starting at or before lo, first boundary at or past hi.
+    const auto rb = std::upper_bound(rp.begin(), rp.end(), lo) -
+        rp.begin() - 1;
+    const auto re = std::lower_bound(rp.begin(), rp.end(), hi) -
+        rp.begin();
+    return m.rowSlice(static_cast<Index>(rb), static_cast<Index>(re));
+}
+
+/**
+ * Min ns over kProbeReps timed serial SpMVs of @p a after one warm
+ * run. Stops after two timed reps when the min is already at or
+ * past @p give_up_ns: the candidate has lost and more reps of a
+ * slow format only lengthen the probe.
+ */
+double
+minSpmvNs(const SparseMatrixAny& a, double give_up_ns)
+{
+    const std::vector<Value> x(static_cast<std::size_t>(a.ref().xLength()),
+                               Value(1));
+    std::vector<Value> y(static_cast<std::size_t>(a.ref().rows()));
+    sim::NativeExec ne;
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep <= kProbeReps; ++rep) {
+        std::fill(y.begin(), y.end(), Value(0));
+        const auto t0 = std::chrono::steady_clock::now();
+        spmv(a, x, y, ne);
+        const std::chrono::duration<double, std::nano> ns =
+            std::chrono::steady_clock::now() - t0;
+        if (rep == 0)
+            continue; // warm-up: caches, page faults
+        best = std::min(best, ns.count());
+        if (rep >= 2 && best >= give_up_ns)
+            break;
+    }
+    return best;
+}
+
+} // namespace
+
+const char*
+toString(DecidedBy d)
+{
+    switch (d) {
+    case DecidedBy::kCaller: return "caller";
+    case DecidedBy::kRules: return "rules";
+    case DecidedBy::kProbe: return "probe";
+    }
+    return "?";
+}
+
+FormatDecision
+confirmFormat(const fmt::CsrMatrix& master, Format pick,
+              const SparseMatrixAny::BuildOptions& build)
+{
+    FormatDecision d;
+    d.format = pick;
+    d.rulePick = pick;
+    if (pick == Format::kCsr || master.nnz() <= kProbeSampleNnz)
+        return d;
+    // Candidates are the pick and CSR only: CSR is a copy of the
+    // master that serving already keeps, and other formats built on
+    // an arbitrary band (DIA, dense) can blow up memory.
+    const fmt::CsrMatrix band = probeBand(master);
+    d.decidedBy = DecidedBy::kProbe;
+    d.csrNs = minSpmvNs(SparseMatrixAny::fromCsr(band, Format::kCsr,
+                                                 build),
+                        std::numeric_limits<double>::infinity());
+    d.pickNs = minSpmvNs(SparseMatrixAny::fromCsr(band, pick, build),
+                         kProbeMargin * d.csrNs);
+    if (kProbeMargin * d.csrNs <= d.pickNs)
+        d.format = Format::kCsr;
+    return d;
+}
+
+void
+publishProbe(const std::string& matrix, Index shard,
+             const FormatDecision& decision)
+{
+    if (decision.decidedBy != DecidedBy::kProbe)
+        return;
+    const std::string prefix = "smash_format_probe_ns{matrix=\"" +
+        matrix + "\",shard=\"" + std::to_string(shard) +
+        "\",format=\"";
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+    metrics.gauge(prefix + "csr\"}")
+        .set(std::llround(decision.csrNs));
+    metrics.gauge(prefix + toString(decision.rulePick) + "\"}")
+        .set(std::llround(decision.pickNs));
 }
 
 SparseMatrixAny

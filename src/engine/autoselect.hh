@@ -10,18 +10,29 @@
  * favour. encodeAuto() is the one-call path from a canonical COO
  * matrix to an engine matrix in the chosen format.
  *
+ * The rules model the paper's hardware, which has a BMU. The
+ * serving layer therefore confirms their pick by measurement:
+ * confirmFormat() times the pick against CSR on a sample row band
+ * of the actual matrix and serves CSR when it is decisively faster
+ * (OSKI/SMAT-style empirical selection). encodeAuto() and the
+ * paper-figure benches keep the pure rules.
+ *
  * Ownership/threading contract: free functions over borrowed
- * inputs, no shared state — safe to call concurrently. For mutable
- * served matrices, engine/profile.hh maintains the same stats
- * incrementally and chooseFormatSticky() adds the hysteresis the
- * drift detector needs.
+ * inputs, no shared state — safe to call concurrently (the probe
+ * gauges are atomic metrics). For mutable served matrices,
+ * engine/profile.hh maintains the same stats incrementally and
+ * chooseFormatSticky() adds the hysteresis the drift detector
+ * needs.
  */
 
 #ifndef SMASH_ENGINE_AUTOSELECT_HH
 #define SMASH_ENGINE_AUTOSELECT_HH
 
+#include <string>
+
 #include "engine/matrix_any.hh"
 #include "formats/coo_matrix.hh"
+#include "formats/csr_matrix.hh"
 
 namespace smash::eng
 {
@@ -104,6 +115,58 @@ Format chooseFormat(const fmt::CooMatrix& coo);
 SparseMatrixAny encodeAuto(const fmt::CooMatrix& coo,
                            const SparseMatrixAny::BuildOptions& opts);
 SparseMatrixAny encodeAuto(const fmt::CooMatrix& coo);
+
+/** Matrices at or below this many non-zeros skip the probe, and
+ *  larger ones are timed on a middle row band of about this size. */
+inline constexpr Index kProbeSampleNnz = Index(1) << 15;
+/** CSR replaces the rule pick only when it is at least this many
+ *  times faster on the sample band. */
+inline constexpr double kProbeMargin = 2.0;
+
+/** What settled a served matrix's format. */
+enum class DecidedBy
+{
+    kCaller, //!< registered with an explicit format
+    kRules,  //!< the §7.2.3 rules alone (no probe ran)
+    kProbe,  //!< the rules' pick, confirmed or overridden by timing
+};
+
+const char* toString(DecidedBy d);
+
+/** A served format and why it was chosen (see confirmFormat()). */
+struct FormatDecision
+{
+    Format format = Format::kCsr;   //!< the format to serve
+    Format rulePick = Format::kCsr; //!< what the rules chose
+    DecidedBy decidedBy = DecidedBy::kRules;
+    /** Probe timings, ns per serial SpMV on the sample band (min of
+     *  the timed reps); 0 unless decidedBy is kProbe. */
+    double csrNs = 0;
+    double pickNs = 0;
+};
+
+/**
+ * Confirm the rules' @p pick for @p master by measurement. The pick
+ * comes back untouched when it is already kCsr or when @p master
+ * holds at most kProbeSampleNnz non-zeros. Otherwise CSR and the
+ * pick (built with @p build) are encoded on a contiguous middle row
+ * band of ~kProbeSampleNnz non-zeros, each timed for one warm and
+ * three serial NativeExec SpMVs (min taken; the pick stops after
+ * two timed reps when both already miss the margin), and kCsr wins
+ * only when it is at least kProbeMargin times faster. Only the
+ * band is encoded here: the caller still builds the served
+ * encoding from the full master, so results are unchanged.
+ */
+FormatDecision confirmFormat(const fmt::CsrMatrix& master, Format pick,
+                             const SparseMatrixAny::BuildOptions& build);
+
+/**
+ * Publish a probe's timings as the gauges
+ * smash_format_probe_ns{matrix,shard,format} (one per candidate).
+ * No-op unless @p decision.decidedBy is kProbe.
+ */
+void publishProbe(const std::string& matrix, Index shard,
+                  const FormatDecision& decision);
 
 } // namespace smash::eng
 

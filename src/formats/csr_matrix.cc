@@ -60,6 +60,26 @@ CsrMatrix::scaleValues(Value factor)
         v *= factor;
 }
 
+CsrMatrix
+CsrMatrix::rowSlice(Index rowBegin, Index rowEnd) const
+{
+    SMASH_CHECK(0 <= rowBegin && rowBegin <= rowEnd && rowEnd <= rows_,
+                "row slice [", rowBegin, ", ", rowEnd, ") outside [0, ",
+                rows_, ")");
+    const auto rb = static_cast<std::size_t>(rowBegin);
+    const auto re = static_cast<std::size_t>(rowEnd);
+    const CsrIndex lo = rowPtr_[rb];
+    std::vector<CsrIndex> rowPtr(re - rb + 1);
+    for (std::size_t r = 0; r < rowPtr.size(); ++r)
+        rowPtr[r] = rowPtr_[rb + r] - lo;
+    std::vector<CsrIndex> colInd(colInd_.begin() + lo,
+                                 colInd_.begin() + rowPtr_[re]);
+    std::vector<Value> values(values_.begin() + lo,
+                              values_.begin() + rowPtr_[re]);
+    return fromRaw(rowEnd - rowBegin, cols_, std::move(rowPtr),
+                   std::move(colInd), std::move(values));
+}
+
 Index
 CsrMatrix::rowNnz(Index r) const
 {

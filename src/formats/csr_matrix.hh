@@ -60,6 +60,13 @@ class CsrMatrix
      */
     void scaleValues(Value factor);
 
+    /**
+     * The rows [@p rowBegin, @p rowEnd) as their own matrix: rows
+     * re-indexed from 0, columns kept (a row band of this matrix
+     * computes against the same x).
+     */
+    CsrMatrix rowSlice(Index rowBegin, Index rowEnd) const;
+
     /** Number of non-zeros in row @p r. */
     Index rowNnz(Index r) const;
 

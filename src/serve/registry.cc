@@ -15,22 +15,25 @@ eng::Format
 MatrixRegistry::insertSlot(const std::string& name,
                            fmt::CsrMatrix master,
                            eng::StructureTracker profile,
-                           eng::Format format,
+                           const eng::FormatDecision& decision,
                            const eng::SparseMatrixAny::BuildOptions&
                                build)
 {
     auto slot = std::make_unique<Slot>();
     slot->master = std::move(master);
     slot->profile = std::move(profile);
-    slot->chosen = format;
-    slot->pendingTarget = format;
+    slot->decision = decision;
+    slot->pendingTarget = decision.format;
     slot->build = build;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const bool inserted =
-        slots_.emplace(name, std::move(slot)).second;
-    SMASH_CHECK(inserted, "registry already holds a matrix named '",
-                name, "'");
-    return format;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const bool inserted =
+            slots_.emplace(name, std::move(slot)).second;
+        SMASH_CHECK(inserted, "registry already holds a matrix named '",
+                    name, "'");
+    }
+    eng::publishProbe(name, 0, decision);
+    return decision.format;
 }
 
 eng::Format
@@ -39,12 +42,15 @@ MatrixRegistry::put(const std::string& name, fmt::CooMatrix coo)
     if (!coo.isCanonical())
         coo.canonicalize();
     // §7.2.3-style structure analysis, run exactly once per matrix
-    // (the tracker's one-pass scan doubles as the initial profile).
+    // (the tracker's one-pass scan doubles as the initial profile),
+    // and its pick confirmed by timing it against CSR.
     fmt::CsrMatrix master = fmt::CsrMatrix::fromCoo(coo);
     eng::StructureTracker profile(master);
-    const eng::Format chosen = eng::chooseFormat(profile.stats());
+    const eng::SparseMatrixAny::BuildOptions build;
+    const eng::FormatDecision decision = eng::confirmFormat(
+        master, eng::chooseFormat(profile.stats()), build);
     return insertSlot(name, std::move(master), std::move(profile),
-                      chosen, eng::SparseMatrixAny::BuildOptions());
+                      decision, build);
 }
 
 eng::Format
@@ -65,7 +71,7 @@ MatrixRegistry::put(const std::string& name, fmt::CooMatrix coo,
     fmt::CsrMatrix master = fmt::CsrMatrix::fromCoo(coo);
     eng::StructureTracker profile(master);
     return insertSlot(name, std::move(master), std::move(profile),
-                      format, build);
+                      {format, format, eng::DecidedBy::kCaller}, build);
 }
 
 eng::Format
@@ -91,10 +97,10 @@ MatrixRegistry::registerSharded(
     // materializations.
     slot->sharded = std::make_shared<shard::ShardedMatrix>(
         name, master, shards, build);
-    slot->chosen = slot->sharded->primaryFormat();
-    slot->pendingTarget = slot->chosen;
+    slot->decision = slot->sharded->shardInfo(0).decision;
+    slot->pendingTarget = slot->decision.format;
     slot->build = build;
-    const eng::Format chosen = slot->chosen;
+    const eng::Format chosen = slot->decision.format;
     std::lock_guard<std::mutex> lock(mutex_);
     const bool inserted =
         slots_.emplace(name, std::move(slot)).second;
@@ -151,7 +157,7 @@ MatrixRegistry::format(const std::string& name) const
 {
     Slot& s = slot(name);
     std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded ? s.sharded->primaryFormat() : s.chosen;
+    return s.sharded ? s.sharded->primaryFormat() : s.decision.format;
 }
 
 MatrixRegistry::EncodingPtr
@@ -187,7 +193,7 @@ MatrixRegistry::encoded(const std::string& name)
     // just-retired format.
     Slot& s = slot(name);
     std::lock_guard<std::mutex> lock(s.mutex);
-    return encodedLocked(s, s.chosen);
+    return encodedLocked(s, s.decision.format);
 }
 
 MatrixRegistry::EncodingPtr
@@ -203,7 +209,7 @@ MatrixRegistry::encodedIfCached(const std::string& name)
 {
     Slot& s = slot(name);
     std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.encodings.find(s.chosen);
+    auto it = s.encodings.find(s.decision.format);
     return it != s.encodings.end() ? it->second : nullptr;
 }
 
@@ -221,7 +227,7 @@ bool
 MatrixRegistry::finishMutation(Slot& s, bool structural,
                                UpdateOutcome& out)
 {
-    out.target = s.reencodePending ? s.pendingTarget : s.chosen;
+    out.target = s.reencodePending ? s.pendingTarget : s.decision.format;
     if (out.stats.inserted + out.stats.removed + out.stats.updated ==
         0) {
         // Nothing changed (empty deltas, scale by 1): keep the
@@ -255,8 +261,8 @@ MatrixRegistry::finishMutation(Slot& s, bool structural,
     if (changed < need)
         return false;
     const eng::Format target = eng::chooseFormatSticky(
-        s.profile.stats(), s.chosen, policy.margin);
-    if (target == s.chosen) {
+        s.profile.stats(), s.decision.format, policy.margin);
+    if (target == s.decision.format) {
         // Inside the hysteresis band: stay put, and restart the
         // drift accumulation so the next check needs fresh churn.
         s.profile.rebase();
@@ -288,7 +294,7 @@ MatrixRegistry::finishShardedMutation(
 {
     out.stats = so.stats;
     out.reencodeScheduled = so.reencodeScheduled;
-    out.target = so.reencodeScheduled ? so.target : s.chosen;
+    out.target = so.reencodeScheduled ? so.target : s.decision.format;
     if (so.stats.inserted + so.stats.removed + so.stats.updated >
         0) {
         // The shards already invalidated their own encodings; drop
@@ -428,11 +434,11 @@ MatrixRegistry::runReencode(const std::string& name)
             sharded = s.sharded;
         }
         if (sharded) {
-            const int swapped = sharded->runPendingReencodes();
-            if (swapped > 0) {
-                std::lock_guard<std::mutex> lock(s.mutex);
-                s.chosen = sharded->primaryFormat();
-            }
+            sharded->runPendingReencodes();
+            const eng::FormatDecision primary =
+                sharded->shardInfo(0).decision;
+            std::lock_guard<std::mutex> lock(s.mutex);
+            s.decision = primary;
             return;
         }
     }
@@ -443,6 +449,7 @@ MatrixRegistry::runReencode(const std::string& name)
     // re-trigger the reselection.
     for (int attempt = 0; attempt < 4; ++attempt) {
         fmt::CsrMatrix snapshot;
+        eng::Format current;
         eng::Format target;
         eng::SparseMatrixAny::BuildOptions build;
         std::uint64_t epoch;
@@ -451,12 +458,29 @@ MatrixRegistry::runReencode(const std::string& name)
             if (!s.reencodePending)
                 return;
             snapshot = s.master;
+            current = s.decision.format;
             target = s.pendingTarget;
             build = s.build;
             epoch = s.epoch;
         }
+        // Confirm the rules' target by timing before paying for its
+        // build. A probe that keeps the current format (a matrix the
+        // probe moved to CSR, which the sticky rules would send back
+        // to their pick) ends the re-encode: no swap, no conversion,
+        // and the drift gate starts over.
+        const eng::FormatDecision decision =
+            eng::confirmFormat(snapshot, target, build);
+        eng::publishProbe(name, 0, decision);
+        if (decision.format == current) {
+            std::lock_guard<std::mutex> lock(s.mutex);
+            s.decision = decision;
+            s.reencodePending = false;
+            s.profile.rebase();
+            return;
+        }
         auto built = std::make_shared<const eng::SparseMatrixAny>(
-            eng::SparseMatrixAny::fromCsr(snapshot, target, build));
+            eng::SparseMatrixAny::fromCsr(snapshot, decision.format,
+                                          build));
         {
             std::lock_guard<std::mutex> lock(s.mutex);
             if (s.epoch != epoch)
@@ -464,9 +488,9 @@ MatrixRegistry::runReencode(const std::string& name)
             // Atomic swap: the new epoch becomes the primary; any
             // reader still holding the old shared_ptr finishes on
             // the old encoding.
-            s.chosen = target;
+            s.decision = decision;
             s.encodings.clear();
-            s.encodings.emplace(target, std::move(built));
+            s.encodings.emplace(decision.format, std::move(built));
             ++s.conversions;
             ++s.reselects;
             s.reencodePending = false;
@@ -476,7 +500,8 @@ MatrixRegistry::runReencode(const std::string& name)
                     "smash_registry_epoch_swaps_total");
             swaps.inc();
             SMASH_TRACE_EVENT(obs::EventKind::kEpochSwap,
-                              static_cast<std::uint32_t>(target));
+                              static_cast<std::uint32_t>(
+                                  decision.format));
             return;
         }
     }
@@ -537,7 +562,9 @@ MatrixRegistry::info(const std::string& name) const
     std::lock_guard<std::mutex> lock(s.mutex);
     MatrixInfo out;
     if (s.sharded) {
-        out.chosen = s.sharded->primaryFormat();
+        const shard::ShardInfo primary = s.sharded->shardInfo(0);
+        out.chosen = primary.chosen;
+        out.decision = primary.decision;
         out.rows = s.sharded->rows();
         out.cols = s.sharded->cols();
         out.nnz = s.sharded->nnz();
@@ -554,7 +581,8 @@ MatrixRegistry::info(const std::string& name) const
         out.cached = std::move(formats);
         return out;
     }
-    out.chosen = s.chosen;
+    out.chosen = s.decision.format;
+    out.decision = s.decision;
     out.rows = s.master.rows();
     out.cols = s.master.cols();
     out.nnz = s.master.nnz();

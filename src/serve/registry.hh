@@ -4,11 +4,13 @@
  * matrices.
  *
  * put() registers a matrix under a name, runs the engine's §7.2.3
- * structure analysis once to pick its primary format, and keeps the
- * content as a canonical CSR *master copy*. Encodings are built
- * lazily from the master — the first encoded() call converts (the
- * cost fig20 shows can dominate short-running kernels) and later
- * calls return the cached object.
+ * structure analysis once to pick its primary format, confirms the
+ * pick by timing it against CSR (eng::confirmFormat(): CSR replaces
+ * a pick it beats by the probe margin), and keeps the content as a
+ * canonical CSR *master copy*. Encodings are built lazily from the
+ * master — the first encoded() call converts (the cost fig20 shows
+ * can dominate short-running kernels) and later calls return the
+ * cached object.
  *
  * Served matrices drift. The mutation API (applyUpdates /
  * replaceRows / scaleValues) applies deltas to the master,
@@ -18,8 +20,10 @@
  * a §7.2.3 format boundary *decisively* (chooseFormatSticky's
  * hysteresis margin), the registry schedules one re-encode: through
  * the installed hook when a serving pipeline is attached (async, on
- * the shared ThreadPool), inline otherwise. runReencode() builds
- * the new encoding from a snapshot and swaps it in atomically.
+ * the shared ThreadPool), inline otherwise. runReencode() confirms
+ * the target with the same probe, then builds the new encoding
+ * from a snapshot and swaps it in atomically — or, when the probe
+ * keeps the current format, clears the pending flag with no swap.
  *
  * Ownership/threading contract: all entry points are thread-safe —
  * the name table and each slot are independently locked, and
@@ -47,6 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/autoselect.hh"
 #include "engine/matrix_any.hh"
 #include "engine/profile.hh"
 #include "formats/coo_matrix.hh"
@@ -72,6 +77,9 @@ struct ReselectPolicy
 struct MatrixInfo
 {
     eng::Format chosen;            //!< current primary format
+    /** Why `chosen`: caller, rules or probe, with the probe's
+     *  ns/SpMV for CSR and for the rules' pick. */
+    eng::FormatDecision decision;
     Index rows = 0;
     Index cols = 0;
     Index nnz = 0;
@@ -82,7 +90,8 @@ struct MatrixInfo
     std::vector<eng::Format> cached; //!< formats currently encoded
     /** Shard count for registerSharded() entries, 0 otherwise. For
      *  sharded entries `chosen` is shard 0's format and `cached`
-     *  lists the distinct per-shard formats. */
+     *  lists the distinct per-shard formats; `decision` is shard
+     *  0's (see ShardedMatrix::shardInfo() for the rest). */
     Index shards = 0;
 };
 
@@ -92,7 +101,8 @@ struct UpdateOutcome
     eng::MutationStats stats;       //!< entry-level change counts
     bool reencodeScheduled = false; //!< this call crossed a boundary
     /** Format the matrix is headed for: the pending re-encode's
-     *  target, or the current primary when none is pending. */
+     *  rule target (its probe may still keep the current format),
+     *  or the current primary when none is pending. */
     eng::Format target = eng::Format::kCsr;
 };
 
@@ -113,9 +123,10 @@ class MatrixRegistry
 
     /**
      * Register @p coo under @p name (must be unused) and analyze
-     * its structure once to choose the primary format. The content
-     * is canonicalized into the CSR master copy; no encoding is
-     * built yet.
+     * its structure once to choose the primary format, confirmed by
+     * eng::confirmFormat(). The overloads taking @p format keep the
+     * caller's format as given. The content is canonicalized into
+     * the CSR master copy; no encoding is built yet.
      * @return the chosen format
      */
     eng::Format put(const std::string& name, fmt::CooMatrix coo);
@@ -196,11 +207,14 @@ class MatrixRegistry
 
     /**
      * Execute the pending re-encode for @p name (no-op when none is
-     * pending): snapshot the master, build the target encoding
-     * outside the lock, and swap it in atomically if no mutation
-     * intervened (retrying a few times when one did). This is what
-     * the hook must eventually invoke; with no hook installed the
-     * registry calls it inline from the mutating thread.
+     * pending): snapshot the master, confirm the target with
+     * eng::confirmFormat() (a probe that keeps the current format
+     * clears the pending flag and rebases the profile, with no swap
+     * and no conversion), build it outside the lock, and swap it in
+     * atomically if no mutation intervened (retrying a few times
+     * when one did). This is what the hook must eventually invoke;
+     * with no hook installed the registry calls it inline from the
+     * mutating thread.
      */
     void runReencode(const std::string& name);
 
@@ -243,7 +257,8 @@ class MatrixRegistry
          *  the concatenated shard slices (the secondary-operand
          *  path, e.g. SpAdd's CSR view). */
         std::shared_ptr<shard::ShardedMatrix> sharded;
-        eng::Format chosen;
+        /** The served format and why; shard 0's for sharded entries. */
+        eng::FormatDecision decision;
         eng::SparseMatrixAny::BuildOptions build;
         eng::StructureTracker profile;
         /** Guards everything above and below; held across a
@@ -265,7 +280,7 @@ class MatrixRegistry
     eng::Format insertSlot(const std::string& name,
                            fmt::CsrMatrix master,
                            eng::StructureTracker profile,
-                           eng::Format format,
+                           const eng::FormatDecision& decision,
                            const eng::SparseMatrixAny::BuildOptions&
                                build);
     /** Shared mutation tail: bump the epoch, drop stale encodings,

@@ -54,28 +54,6 @@ runFirstTouch(const std::vector<int>& cpus,
     th.join();
 }
 
-/** The CSR slice for global rows [rb, re): rows re-indexed from 0,
- *  columns kept global (the shard computes against the full x). */
-fmt::CsrMatrix
-sliceCsr(const fmt::CsrMatrix& m, Index rb, Index re)
-{
-    const auto& rp = m.rowPtr();
-    const auto lo = static_cast<std::size_t>(rp[static_cast<std::size_t>(rb)]);
-    const auto hi = static_cast<std::size_t>(rp[static_cast<std::size_t>(re)]);
-    std::vector<fmt::CsrIndex> rowPtr(static_cast<std::size_t>(re - rb) + 1);
-    for (Index r = 0; r <= re - rb; ++r)
-        rowPtr[static_cast<std::size_t>(r)] =
-            rp[static_cast<std::size_t>(rb + r)] -
-            rp[static_cast<std::size_t>(rb)];
-    std::vector<fmt::CsrIndex> colInd(m.colInd().begin() + lo,
-                                      m.colInd().begin() + hi);
-    std::vector<Value> values(m.values().begin() + lo,
-                              m.values().begin() + hi);
-    return fmt::CsrMatrix::fromRaw(re - rb, m.cols(), std::move(rowPtr),
-                                   std::move(colInd),
-                                   std::move(values));
-}
-
 void
 accumulate(eng::MutationStats& into, const eng::MutationStats& st)
 {
@@ -145,19 +123,20 @@ ShardedMatrix::ShardedMatrix(std::string name,
         builders.emplace_back([this, i, &master] {
             Shard& sh = *shards_[static_cast<std::size_t>(i)];
             runFirstTouch(sh.cpus, [this, &sh, &master] {
-                sh.master = sliceCsr(master, sh.rowBegin,
-                                     sh.rowEnd);
+                sh.master = master.rowSlice(sh.rowBegin, sh.rowEnd);
                 sh.profile = eng::StructureTracker(sh.master);
-                sh.chosen = eng::chooseFormat(sh.profile.stats());
-                sh.pendingTarget = sh.chosen;
+                sh.decision = eng::confirmFormat(
+                    sh.master, eng::chooseFormat(sh.profile.stats()),
+                    build_);
+                sh.pendingTarget = sh.decision.format;
                 sh.encoding =
                     std::make_shared<const eng::SparseMatrixAny>(
                         eng::SparseMatrixAny::fromCsr(
-                            sh.master, sh.chosen, build_));
+                            sh.master, sh.decision.format, build_));
                 ++sh.conversions;
             });
-            setFormatGauge(i,
-                           shards_[static_cast<std::size_t>(i)]->chosen);
+            eng::publishProbe(name_, i, sh.decision);
+            setFormatGauge(i, sh.decision.format);
         });
     }
     for (std::thread& t : builders)
@@ -194,7 +173,8 @@ ShardedMatrix::shardInfo(Index shard) const
     out.rowBegin = sh.rowBegin;
     out.rowEnd = sh.rowEnd;
     out.nnz = sh.master.nnz();
-    out.chosen = sh.chosen;
+    out.chosen = sh.decision.format;
+    out.decision = sh.decision;
     out.node = sh.node;
     out.cpus = sh.cpus;
     out.epoch = sh.epoch;
@@ -211,7 +191,7 @@ ShardedMatrix::shardFormats() const
     out.reserve(shards_.size());
     for (const auto& sh : shards_) {
         std::lock_guard<std::mutex> lock(sh->mutex);
-        out.push_back(sh->chosen);
+        out.push_back(sh->decision.format);
     }
     return out;
 }
@@ -221,7 +201,7 @@ ShardedMatrix::primaryFormat() const
 {
     const Shard& sh = *shards_.front();
     std::lock_guard<std::mutex> lock(sh.mutex);
-    return sh.chosen;
+    return sh.decision.format;
 }
 
 eng::StructureStats
@@ -281,7 +261,7 @@ ShardedMatrix::encodedLocked(Shard& sh) const
 {
     if (!sh.encoding) {
         sh.encoding = std::make_shared<const eng::SparseMatrixAny>(
-            eng::SparseMatrixAny::fromCsr(sh.master, sh.chosen,
+            eng::SparseMatrixAny::fromCsr(sh.master, sh.decision.format,
                                           build_));
         ++sh.conversions;
     }
@@ -529,8 +509,8 @@ ShardedMatrix::finishShardMutation(Index shard, Shard& sh,
     if (changed < need)
         return;
     const eng::Format target = eng::chooseFormatSticky(
-        sh.profile.stats(), sh.chosen, policy.margin);
-    if (target == sh.chosen) {
+        sh.profile.stats(), sh.decision.format, policy.margin);
+    if (target == sh.decision.format) {
         sh.profile.rebase();
         return;
     }
@@ -668,10 +648,11 @@ ShardedMatrix::runPendingReencodes()
     for (Index i = 0; i < shardCount(); ++i) {
         Shard& sh = *shards_[static_cast<std::size_t>(i)];
         bool done = false;
-        // Same snapshot / build-unlocked / epoch-checked-swap loop
-        // as the registry's whole-matrix runReencode(), per shard.
+        // Same snapshot / probe / build-unlocked / epoch-checked-swap
+        // loop as the registry's whole-matrix runReencode(), per shard.
         for (int attempt = 0; attempt < 4 && !done; ++attempt) {
             fmt::CsrMatrix snapshot;
+            eng::Format current;
             eng::Format target;
             std::uint64_t epoch;
             {
@@ -681,18 +662,33 @@ ShardedMatrix::runPendingReencodes()
                     break;
                 }
                 snapshot = sh.master;
+                current = sh.decision.format;
                 target = sh.pendingTarget;
                 epoch = sh.epoch;
             }
+            const eng::FormatDecision decision =
+                eng::confirmFormat(snapshot, target, build_);
+            eng::publishProbe(name_, i, decision);
+            if (decision.format == current) {
+                // The probe keeps the current format (a CSR shard
+                // the sticky rules would send back to their pick):
+                // no swap, and the drift gate starts over.
+                std::lock_guard<std::mutex> lock(sh.mutex);
+                sh.decision = decision;
+                sh.reencodePending = false;
+                sh.profile.rebase();
+                done = true;
+                break;
+            }
             auto built =
                 std::make_shared<const eng::SparseMatrixAny>(
-                    eng::SparseMatrixAny::fromCsr(snapshot, target,
-                                                  build_));
+                    eng::SparseMatrixAny::fromCsr(
+                        snapshot, decision.format, build_));
             {
                 std::lock_guard<std::mutex> lock(sh.mutex);
                 if (sh.epoch != epoch)
                     continue; // a mutation landed: rebuild
-                sh.chosen = target;
+                sh.decision = decision;
                 sh.encoding = std::move(built);
                 ++sh.conversions;
                 ++sh.reselects;
@@ -702,10 +698,11 @@ ShardedMatrix::runPendingReencodes()
                 ++swapped;
             }
             shardReencodeCounter(i).inc();
-            setFormatGauge(i, target);
+            setFormatGauge(i, decision.format);
             SMASH_TRACE_EVENT(obs::EventKind::kShardReencode,
                               static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(target));
+                              static_cast<std::uint32_t>(
+                                  decision.format));
         }
         if (!done) {
             std::lock_guard<std::mutex> lock(sh.mutex);

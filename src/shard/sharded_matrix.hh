@@ -6,10 +6,11 @@
  * Each shard owns a full per-matrix stack of its own — a CSR master
  * slice (rows re-indexed to the shard, columns global), an
  * incremental StructureTracker, a §7.2.3 format decision with
- * chooseFormatSticky hysteresis, an encoded SparseMatrixAny (whose
- * embedded PlanCache is therefore per-shard), an epoch counter, and
- * a CPU subset derived from the NUMA topology probe
- * (common/numa_topology.hh). A drifting matrix whose bands diverge
+ * chooseFormatSticky hysteresis (confirmed by the engine's timing
+ * probe, eng::confirmFormat(), at construction and at every drift
+ * re-encode), an encoded SparseMatrixAny (whose embedded PlanCache
+ * is therefore per-shard), an epoch counter, and a CPU subset
+ * derived from the NUMA topology probe (common/numa_topology.hh). A drifting matrix whose bands diverge
  * structurally — dense diagonals in one row band, scattered bits in
  * another — re-selects and re-encodes *per band* instead of
  * whole-matrix.
@@ -51,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/autoselect.hh"
 #include "engine/matrix_any.hh"
 #include "engine/mutate.hh"
 #include "engine/profile.hh"
@@ -83,6 +85,7 @@ struct ShardInfo
     Index rowEnd = 0;     //!< global last row (exclusive)
     Index nnz = 0;
     eng::Format chosen = eng::Format::kCsr;
+    eng::FormatDecision decision; //!< why `chosen` (rules or probe)
     int node = 0;              //!< NUMA node the shard maps to
     std::vector<int> cpus;     //!< CPU subset used for first-touch
     std::uint64_t epoch = 0;   //!< bumped by every mutation landing here
@@ -109,7 +112,8 @@ class ShardedMatrix
     /**
      * Partition @p master into @p shards nnz-balanced row bands
      * (clamped to [1, rows]) and build each band's master slice,
-     * profile, format choice, and initial encoding on a thread
+     * profile, format choice (the rules' pick, confirmed by
+     * eng::confirmFormat()), and initial encoding on a thread
      * pinned to the band's NUMA CPU subset (first-touch). @p name
      * labels the per-shard metrics.
      */
@@ -205,10 +209,12 @@ class ShardedMatrix
 
     /**
      * Execute every pending per-shard re-encode: snapshot the shard
-     * master, build the target encoding outside the lock, swap it
-     * in if no mutation intervened (epoch check + retries, like the
-     * registry's whole-matrix path). Returns the number of shards
-     * swapped.
+     * master, confirm the drift target with eng::confirmFormat(),
+     * build it outside the lock, and swap it in if no mutation
+     * intervened (epoch check + retries, like the registry's
+     * whole-matrix path). A probe that keeps the current format
+     * clears the pending flag and rebases the profile without a
+     * swap. Returns the number of shards swapped.
      */
     int runPendingReencodes();
 
@@ -221,7 +227,7 @@ class ShardedMatrix
         std::vector<int> cpus;
         fmt::CsrMatrix master; //!< local rows [0, rowEnd-rowBegin)
         eng::StructureTracker profile;
-        eng::Format chosen = eng::Format::kCsr;
+        eng::FormatDecision decision; //!< format served, and why
         eng::Format pendingTarget = eng::Format::kCsr;
         EncodingPtr encoding; //!< null after a mutation invalidates
         std::uint64_t epoch = 0;

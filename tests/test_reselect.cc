@@ -7,7 +7,9 @@
  * registry/session drift path — drift deltas trigger exactly one
  * re-encode, results submitted across the swap stay bit-identical
  * (all test values are dyadic rationals, so every summation order
- * is exact), and thrash near a boundary is suppressed.
+ * is exact), and thrash near a boundary is suppressed. The
+ * measured format confirmation (eng::confirmFormat) is covered at
+ * registration, per shard, and at drift re-encode.
  *
  * Thread counts: SMASH_SERVE_THREADS pins one count (the ctest
  * variants run 1, 2, and 8); unset, every count is covered.
@@ -18,7 +20,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -27,6 +31,7 @@
 #include "engine/mutate.hh"
 #include "engine/profile.hh"
 #include "formats/dense_matrix.hh"
+#include "obs/metrics.hh"
 #include "serve/session.hh"
 #include "workloads/matrix_gen.hh"
 
@@ -67,6 +72,56 @@ waitReencodeSettled(serve::MatrixRegistry& registry,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return true;
+}
+
+/**
+ * Wide clustered matrix: @p blocks aligned 8-column blocks per row,
+ * 7 of 8 filled, at seeded positions, dyadic values. Block locality
+ * ~7/8 makes the rules pick kSmash; at 32768 columns SMASH-SW's
+ * bitmap walk costs ~15x a CSR row walk on a BMU-less host, far
+ * past the probe margin.
+ */
+fmt::CooMatrix
+wideClustered(Index rows, Index blocks, std::uint64_t seed)
+{
+    constexpr Index kCols = 32768;
+    fmt::CooMatrix coo(rows, kCols);
+    std::uint64_t state = seed;
+    for (Index r = 0; r < rows; ++r)
+        for (Index b = 0; b < blocks; ++b) {
+            state = state * 6364136223846793005ULL +
+                1442695040888963407ULL;
+            const Index c0 =
+                static_cast<Index>((state >> 33) % (kCols / 8)) * 8;
+            for (Index j = 0; j < 7; ++j)
+                coo.add(r, c0 + j,
+                        Value(1) + Value((r + j) % 16) * Value(0.0625));
+        }
+    coo.canonicalize();
+    return coo;
+}
+
+/** The Prometheus exposition of the global metrics registry. */
+std::string
+metricsText()
+{
+    std::ostringstream os;
+    obs::MetricsRegistry::global().exportText(os);
+    return os.str();
+}
+
+/** y = A x through a fresh serial encoding of @p coo in @p format. */
+std::vector<Value>
+referenceSpmv(const fmt::CooMatrix& coo, eng::Format format,
+              const std::vector<Value>& x)
+{
+    const eng::SparseMatrixAny a =
+        eng::SparseMatrixAny::fromCoo(coo, format);
+    std::vector<Value> y(static_cast<std::size_t>(coo.rows()),
+                         Value(0));
+    sim::NativeExec e;
+    eng::spmv(a.ref(), x, y, e);
+    return y;
 }
 
 TEST(Mutate, ApplyUpdatesMatchesDenseOracle)
@@ -595,6 +650,171 @@ TEST(Reselect, StaleSessionDestructionKeepsNewerSessionsHook)
     // The re-encode went through the surviving session's pipeline,
     // not the synchronous no-hook fallback.
     EXPECT_EQ(newer.stats().reencodes.load(), 1u);
+}
+
+TEST(FormatProbe, CsrPicksAndSmallMatricesKeepTheRules)
+{
+    // A CSR pick is never probed, however large the matrix.
+    const fmt::CooMatrix large = wideClustered(2048, 4, 1);
+    ASSERT_GT(large.nnz(), eng::kProbeSampleNnz);
+    const eng::FormatDecision csr = eng::confirmFormat(
+        fmt::CsrMatrix::fromCoo(large), eng::Format::kCsr, {});
+    EXPECT_EQ(csr.format, eng::Format::kCsr);
+    EXPECT_EQ(csr.decidedBy, eng::DecidedBy::kRules);
+    EXPECT_EQ(csr.csrNs, 0);
+    EXPECT_EQ(csr.pickNs, 0);
+
+    // At or below one probe sample the rules decide alone: the
+    // kSmash pick comes back unchanged, with no probe recorded.
+    const fmt::CooMatrix small = wideClustered(64, 4, 2);
+    ASSERT_LE(small.nnz(), eng::kProbeSampleNnz);
+    ASSERT_EQ(eng::chooseFormat(small), eng::Format::kSmash);
+    const eng::FormatDecision rules = eng::confirmFormat(
+        fmt::CsrMatrix::fromCoo(small), eng::Format::kSmash, {});
+    EXPECT_EQ(rules.format, eng::Format::kSmash);
+    EXPECT_EQ(rules.rulePick, eng::Format::kSmash);
+    EXPECT_EQ(rules.decidedBy, eng::DecidedBy::kRules);
+    EXPECT_EQ(rules.pickNs, 0);
+
+    serve::MatrixRegistry registry;
+    EXPECT_EQ(registry.put("probe_small", small), eng::Format::kSmash);
+    EXPECT_EQ(registry.info("probe_small").decision.decidedBy,
+              eng::DecidedBy::kRules);
+    EXPECT_EQ(registry.registerSharded("probe_small_k2", small, 2),
+              eng::Format::kSmash);
+    EXPECT_EQ(registry.sharded("probe_small_k2")
+                  ->shardInfo(1)
+                  .decision.decidedBy,
+              eng::DecidedBy::kRules);
+    // An explicit format is the caller's, never probed.
+    registry.put("probe_explicit", large, eng::Format::kSmash);
+    EXPECT_EQ(registry.format("probe_explicit"), eng::Format::kSmash);
+    EXPECT_EQ(registry.info("probe_explicit").decision.decidedBy,
+              eng::DecidedBy::kCaller);
+    const std::string text = metricsText();
+    for (const char* name :
+         {"probe_small\"", "probe_small_k2\"", "probe_explicit\""})
+        EXPECT_EQ(text.find(std::string(
+                      "smash_format_probe_ns{matrix=\"") + name),
+                  std::string::npos)
+            << name;
+}
+
+TEST(FormatProbe, ClusteredMatrixServesCsrBitIdentically)
+{
+    // 4096 rows x 4 blocks: every K=2 shard is still above the
+    // probe floor, so each shard is probed on its own.
+    const Index rows = 4096;
+    const fmt::CooMatrix coo = wideClustered(rows, 4, 3);
+    ASSERT_EQ(eng::chooseFormat(coo), eng::Format::kSmash);
+    const std::vector<Value> x = dyadicOperand(coo.cols(), 6);
+    const std::vector<Value> want =
+        referenceSpmv(coo, eng::Format::kSmash, x);
+
+    serve::MatrixRegistry registry;
+    EXPECT_EQ(registry.put("probe_put", coo), eng::Format::kCsr);
+    const eng::FormatDecision d = registry.info("probe_put").decision;
+    EXPECT_EQ(d.decidedBy, eng::DecidedBy::kProbe);
+    EXPECT_EQ(d.rulePick, eng::Format::kSmash);
+    EXPECT_GT(d.csrNs, 0);
+    EXPECT_GE(d.pickNs, eng::kProbeMargin * d.csrNs);
+    EXPECT_GT(obs::MetricsRegistry::global()
+                  .gauge("smash_format_probe_ns{matrix=\"probe_put\","
+                         "shard=\"0\",format=\"smash\"}")
+                  .value(),
+              0);
+    for (const Index k : {1, 2}) {
+        const std::string name = "probe_k" + std::to_string(k);
+        EXPECT_EQ(registry.registerSharded(name, coo, k),
+                  eng::Format::kCsr);
+        const auto sm = registry.sharded(name);
+        for (Index i = 0; i < k; ++i) {
+            const shard::ShardInfo info = sm->shardInfo(i);
+            EXPECT_EQ(info.chosen, eng::Format::kCsr) << name;
+            EXPECT_EQ(info.decision.decidedBy, eng::DecidedBy::kProbe);
+            EXPECT_EQ(info.decision.rulePick, eng::Format::kSmash);
+            EXPECT_GT(obs::MetricsRegistry::global()
+                          .gauge("smash_format_probe_ns{matrix=\"" +
+                                 name + "\",shard=\"" +
+                                 std::to_string(i) +
+                                 "\",format=\"csr\"}")
+                          .value(),
+                      0);
+        }
+    }
+
+    // The served CSR answers are bit-identical to kSmash's.
+    for (int threads : threadCounts()) {
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        serve::Session session(registry, opts);
+        for (const char* name : {"probe_put", "probe_k1", "probe_k2"}) {
+            const std::vector<Value> got =
+                session.submit(serve::SpmvRequest{name, x})
+                    .get()
+                    .value();
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(Value)),
+                      0)
+                << name << " threads " << threads;
+        }
+    }
+}
+
+TEST(FormatProbe, DriftTowardTheRulePickIsOverridden)
+{
+    // A probed-CSR entry drifts while staying clustered, so the
+    // sticky rules propose kSmash again; the re-encode's probe keeps
+    // CSR with no swap, no conversion and no reselect.
+    const Index rows = 4096;
+    const fmt::CooMatrix coo = wideClustered(rows, 4, 4);
+    // One fresh, fully filled block per row: ~6% of nnz inserted,
+    // past the 5% churn gate of both the matrix and each shard.
+    fmt::CooMatrix deltas(rows, coo.cols());
+    for (Index r = 0; r < rows; ++r)
+        for (Index j = 0; j < 8; ++j)
+            deltas.add(r, 8 * ((r * 37) % 4096) + j, Value(0.25));
+    deltas.canonicalize();
+
+    for (int threads : threadCounts()) {
+        serve::MatrixRegistry registry;
+        ASSERT_EQ(registry.put("drift_put", coo), eng::Format::kCsr);
+        ASSERT_EQ(registry.registerSharded("drift_k2", coo, 2),
+                  eng::Format::kCsr);
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        serve::Session session(registry, opts);
+
+        for (const char* name : {"drift_put", "drift_k2"}) {
+            const serve::MatrixInfo before = registry.info(name);
+            const serve::UpdateOutcome out =
+                session.applyUpdates(name, deltas);
+            ASSERT_GT(out.stats.inserted, 0);
+            EXPECT_TRUE(out.reencodeScheduled) << name;
+            EXPECT_EQ(out.target, eng::Format::kSmash) << name;
+            ASSERT_TRUE(waitReencodeSettled(registry, name));
+            session.drain();
+
+            const serve::MatrixInfo after = registry.info(name);
+            EXPECT_FALSE(after.reencodePending);
+            EXPECT_EQ(after.chosen, eng::Format::kCsr) << name;
+            EXPECT_EQ(after.decision.decidedBy, eng::DecidedBy::kProbe);
+            EXPECT_EQ(after.reselects, before.reselects) << name;
+            EXPECT_EQ(after.conversions, before.conversions) << name;
+            // The profile was rebased: one more insertion (column
+            // 15 is offset 7 of a block, which the base pattern
+            // never fills) is far below the churn gate again.
+            fmt::CooMatrix one(rows, coo.cols());
+            one.add(0, 15, Value(0.5));
+            one.canonicalize();
+            const serve::UpdateOutcome again =
+                session.applyUpdates(name, one);
+            EXPECT_EQ(again.stats.inserted, 1);
+            EXPECT_FALSE(again.reencodeScheduled) << name;
+        }
+        EXPECT_EQ(session.stats().failed.load(), 0u);
+    }
 }
 
 } // namespace
