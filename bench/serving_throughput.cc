@@ -141,12 +141,12 @@ runConfig(serve::MatrixRegistry& registry, const std::string& name,
         for (serve::Priority p :
              {serve::Priority::kHigh, serve::Priority::kNormal,
               serve::Priority::kBatch}) {
-            const serve::LatencyHistogram& h =
+            const obs::Histogram& h =
                 session.stats().latency(p);
             table.addRow({serve::toString(p),
                           std::to_string(h.count()),
-                          formatFixed(h.percentileUs(0.5), 1),
-                          formatFixed(h.percentileUs(0.99), 1)});
+                          formatFixed(h.percentile(0.5), 1),
+                          formatFixed(h.percentile(0.99), 1)});
         }
         table.print(std::cout);
         std::cout << "\n";
@@ -158,12 +158,12 @@ runConfig(serve::MatrixRegistry& registry, const std::string& name,
         stages.setHeader({"stage", "spans", "p50 (us)", "p99 (us)"});
         for (std::size_t s = 0; s < serve::kNumPipelineStages; ++s) {
             const auto stage = static_cast<serve::PipelineStage>(s);
-            const serve::LatencyHistogram& h =
+            const obs::Histogram& h =
                 session.stats().stage(stage);
             stages.addRow({serve::toString(stage),
                            std::to_string(h.count()),
-                           formatFixed(h.percentileUs(0.5), 1),
-                           formatFixed(h.percentileUs(0.99), 1)});
+                           formatFixed(h.percentile(0.5), 1),
+                           formatFixed(h.percentile(0.99), 1)});
         }
         stages.print(std::cout);
         const double queue_us =

@@ -89,11 +89,11 @@ main()
         std::cout << "\nPer-stage latency (64 requests):\n";
         for (std::size_t s = 0; s < serve::kNumPipelineStages; ++s) {
             const auto stage = static_cast<serve::PipelineStage>(s);
-            const serve::LatencyHistogram& h =
+            const obs::Histogram& h =
                 session.stats().stage(stage);
             std::cout << "  " << serve::toString(stage) << ": p50 "
-                      << h.percentileUs(0.5) << " us, p99 "
-                      << h.percentileUs(0.99) << " us\n";
+                      << h.percentile(0.5) << " us, p99 "
+                      << h.percentile(0.99) << " us\n";
         }
         const auto queue_us = session.stats().queueUs();
         const auto compute_us = session.stats().computeUs();

@@ -138,7 +138,7 @@ main()
               << " batches (widest " << stats.widestBatch.load()
               << "); p99 latency (normal) "
               << stats.latency(serve::Priority::kNormal)
-                     .percentileUs(0.99)
+                     .percentile(0.99)
               << " us; conversions: ranker "
               << registry.conversions("ranker") << ", graph "
               << registry.conversions("graph")

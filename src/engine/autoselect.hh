@@ -22,7 +22,7 @@
  * gauges are atomic metrics). For mutable served matrices,
  * engine/profile.hh maintains the same stats incrementally and
  * chooseFormatSticky() adds the hysteresis the drift detector
- * needs.
+ * needs, gated by a ReselectPolicy.
  */
 
 #ifndef SMASH_ENGINE_AUTOSELECT_HH
@@ -107,6 +107,20 @@ Format chooseFormat(const StructureStats& stats,
  */
 Format chooseFormatSticky(const StructureStats& stats, Format current,
                           double margin);
+
+/** When a served matrix's drift re-selection fires: the churn gate
+ *  in front of chooseFormatSticky(), and its margin. */
+struct ReselectPolicy
+{
+    bool enabled = true;
+    /** Structural changes since the last baseline, as a fraction of
+     *  the current nnz, before the profile is even re-examined. */
+    double minChangedFraction = 0.05;
+    Index minChanged = 16; //!< absolute floor on that change count
+    /** Hysteresis band on the §7.2.3 boundaries: leaving the
+     *  current format must beat them by this margin. */
+    double margin = 0.1;
+};
 
 /** analyzeStructure + chooseFormat. */
 Format chooseFormat(const fmt::CooMatrix& coo);

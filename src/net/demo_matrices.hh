@@ -68,22 +68,18 @@ demoVector(Index seed)
     return x;
 }
 
-/** Populate @p registry with the demo set (see file comment).
- *  With @p shards > 1 the entries register as sharded matrices
- *  (row-partitioned, per-shard formats) — answers stay bit-identical
- *  to the unsharded registry, so clients need not know. */
+/** Populate @p registry with the demo set (see file comment), each
+ *  entry row-partitioned into @p shards bands (1 = a plain put()) —
+ *  answers stay bit-identical for any K, so clients need not know. */
 inline void
 populateDemoRegistry(serve::MatrixRegistry& registry, Index shards = 1)
 {
-    const auto add = [&](const std::string& name, fmt::CooMatrix coo) {
-        if (shards > 1)
-            registry.registerSharded(name, std::move(coo), shards);
-        else
-            registry.put(name, std::move(coo));
-    };
-    add("ranker", demoRanker());
-    add("graph", demoMatrix(kDemoGraphDim, kDemoGraphDim, 6, 3));
-    add("graph2", demoMatrix(kDemoGraphDim, kDemoGraphDim, 6, 11));
+    registry.registerSharded("ranker", demoRanker(), shards);
+    registry.registerSharded(
+        "graph", demoMatrix(kDemoGraphDim, kDemoGraphDim, 6, 3), shards);
+    registry.registerSharded(
+        "graph2", demoMatrix(kDemoGraphDim, kDemoGraphDim, 6, 11),
+        shards);
 }
 
 } // namespace smash::net

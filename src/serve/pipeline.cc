@@ -148,38 +148,22 @@ Pipeline::resolveEncodings(const QueueKey& key,
     switch (key.op) {
       case OpClass::kSpmv:
       case OpClass::kSpmm: {
-        // Sharded entries prepare per shard: ready when every
-        // shard's encoding is built.
-        if (const auto sharded = registry_.sharded(key.matrix)) {
-            if (cached_only)
-                return sharded->allEncoded();
-            sharded->ensureEncoded();
-            return true;
-        }
+        // Ready when every shard's encoding is built.
+        const auto stack = registry_.sharded(key.matrix);
         if (cached_only)
-            return registry_.encodedIfCached(key.matrix) != nullptr;
-        registry_.encoded(key.matrix);
+            return stack->allEncoded();
+        stack->ensureEncoded();
         return true;
       }
       case OpClass::kSpadd: {
+        // SpAdd merges the CSR views of both operands.
         const std::string& other =
             std::get<SpaddWork>(request.work).other;
-        // A sharded primary operand merges straight off its shard
-        // masters — no encoding to prepare; the secondary still
-        // needs its whole-matrix CSR view (the registry serves one
-        // for sharded secondaries too, from the concatenated
-        // slices).
-        const bool a_sharded =
-            registry_.sharded(key.matrix) != nullptr;
         if (cached_only)
-            return (a_sharded ||
-                    registry_.encodedAsIfCached(key.matrix,
-                                                eng::Format::kCsr) !=
-                        nullptr) &&
-                   registry_.encodedAsIfCached(
-                       other, eng::Format::kCsr) != nullptr;
-        if (!a_sharded)
-            registry_.encodedAs(key.matrix, eng::Format::kCsr);
+            return registry_.encodedAsIfCached(key.matrix,
+                                               eng::Format::kCsr) &&
+                registry_.encodedAsIfCached(other, eng::Format::kCsr);
+        registry_.encodedAs(key.matrix, eng::Format::kCsr);
         registry_.encodedAs(other, eng::Format::kCsr);
         return true;
       }
@@ -281,7 +265,7 @@ Pipeline::recordStages(const Request& request,
     for (const auto& s : spans) {
         const std::uint64_t us = stageUs(s.from, s.to);
         stats_.stageLatency[static_cast<std::size_t>(s.stage)].record(
-            std::chrono::microseconds(us));
+            us);
         globalStageHistogram(s.stage).record(us);
     }
 }
@@ -295,7 +279,7 @@ Pipeline::deliver(Request& request, Work& work, T value)
     stats_
         .latencyByPriority[static_cast<std::size_t>(
             request.options.priority)]
-        .record(now - request.submitted);
+        .record(stageUs(request.submitted, now));
     recordStages(request, now);
     // The queue-side span (submit → batch flush) is the degradation
     // ladder's latency signal: it grows under pressure well before
@@ -373,19 +357,14 @@ void
 Pipeline::computeSpmv(const std::string& matrix,
                       std::vector<Request>& batch)
 {
-    // Sharded entries compute scatter–gather over their shards;
-    // otherwise the shared_ptr pins this epoch's encoding for the
-    // whole compute: a concurrent mutation or drift re-encode swaps
-    // the registry slot without pulling the matrix out from under
-    // us. (Each shard's encoding is pinned the same way, inside the
-    // shard layer.)
-    const std::shared_ptr<shard::ShardedMatrix> sharded =
+    // The stack pins each shard's encoding epoch for the whole
+    // compute: a concurrent mutation or drift re-encode swaps the
+    // shard without pulling the matrix out from under us.
+    const std::shared_ptr<shard::ShardedMatrix> stack =
         registry_.sharded(matrix);
-    const MatrixRegistry::EncodingPtr held =
-        sharded ? nullptr : registry_.encoded(matrix);
-    const Index rows = sharded ? sharded->rows() : held->rows();
+    const Index rows = stack->rows();
     const auto nrhs = static_cast<Index>(batch.size());
-    exec::ThreadPool* shard_pool =
+    exec::ThreadPool* const pool =
         compute_ == ComputeExec::kParallel ? &pool_ : nullptr;
 
     if (nrhs == 1) {
@@ -393,15 +372,7 @@ Pipeline::computeSpmv(const std::string& matrix,
         // baseline path the throughput bench compares against).
         auto& w = std::get<SpmvWork>(batch[0].work);
         std::vector<Value> y(static_cast<std::size_t>(rows), Value(0));
-        if (sharded) {
-            sharded->spmv(w.x, y, shard_pool);
-        } else if (compute_ == ComputeExec::kParallel) {
-            exec::ParallelExec pe(pool_);
-            eng::spmv(held->ref(), w.x, y, pe);
-        } else {
-            sim::NativeExec ne;
-            eng::spmv(held->ref(), w.x, y, ne);
-        }
+        stack->spmv(w.x, y, pool);
         stats_.batches.fetch_add(1, std::memory_order_relaxed);
         storeMax(stats_.widestBatch, 1);
         batch[0].computed = Request::Clock::now();
@@ -416,13 +387,12 @@ Pipeline::computeSpmv(const std::string& matrix,
     }
 
     // Assemble the tall-skinny X block (one column per request,
-    // padded to the format's operand length) and compute the whole
-    // batch with one traversal of the sparse operand. Row-outer
-    // loop order: X is row-major, so the writes stream through each
-    // nrhs-wide row instead of striding one cache line per element.
-    // Sharded matrices take the logical height — each shard pads to
-    // its own format's granularity internally.
-    const Index xlen = sharded ? sharded->cols() : held->xLength();
+    // padded to the operand length the stack takes without a copy)
+    // and compute the whole batch with one traversal of the sparse
+    // operand. Row-outer loop order: X is row-major, so the writes
+    // stream through each nrhs-wide row instead of striding one
+    // cache line per element.
+    const Index xlen = stack->xLength();
     fmt::DenseMatrix x(xlen, nrhs);
     {
         std::vector<const Value*> sources(
@@ -447,15 +417,7 @@ Pipeline::computeSpmv(const std::string& matrix,
         }
     }
     auto y = std::make_shared<fmt::DenseMatrix>(rows, nrhs);
-    if (sharded) {
-        sharded->spmvBatch(x, *y, shard_pool);
-    } else if (compute_ == ComputeExec::kParallel) {
-        exec::ParallelExec pe(pool_);
-        eng::spmvBatch(held->ref(), x, *y, pe);
-    } else {
-        sim::NativeExec ne;
-        eng::spmvBatch(held->ref(), x, *y, ne);
-    }
+    stack->spmvBatch(x, *y, pool);
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch, static_cast<std::uint64_t>(nrhs));
     {
@@ -496,12 +458,10 @@ void
 Pipeline::computeSpmm(const std::string& matrix,
                       std::vector<Request>& batch)
 {
-    const std::shared_ptr<shard::ShardedMatrix> sharded =
+    const std::shared_ptr<shard::ShardedMatrix> stack =
         registry_.sharded(matrix);
-    const MatrixRegistry::EncodingPtr held =
-        sharded ? nullptr : registry_.encoded(matrix);
-    const Index rows = sharded ? sharded->rows() : held->rows();
-    const Index xlen = sharded ? sharded->cols() : held->xLength();
+    const Index rows = stack->rows();
+    const Index xlen = stack->xLength();
 
     // Concatenate every request's dense block into one wide X: the
     // per-column arithmetic of the batched kernels is independent,
@@ -527,16 +487,8 @@ Pipeline::computeSpmm(const std::string& matrix,
         off += nc;
     }
     auto y = std::make_shared<fmt::DenseMatrix>(rows, total);
-    if (sharded) {
-        sharded->spmvBatch(
-            x, *y, compute_ == ComputeExec::kParallel ? &pool_ : nullptr);
-    } else if (compute_ == ComputeExec::kParallel) {
-        exec::ParallelExec pe(pool_);
-        eng::spmmBatch(held->ref(), x, *y, pe);
-    } else {
-        sim::NativeExec ne;
-        eng::spmmBatch(held->ref(), x, *y, ne);
-    }
+    stack->spmvBatch(
+        x, *y, compute_ == ComputeExec::kParallel ? &pool_ : nullptr);
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch,
              static_cast<std::uint64_t>(batch.size()));
@@ -576,30 +528,14 @@ Pipeline::computeSpadd(const std::string& matrix,
     // SpAdd requests do not coalesce into one kernel call; the
     // queue still gives them batching's scheduling benefits (one
     // task per flush, priority ordering). Each merge runs on the
-    // CSR masters and delivers inline — the result is the payload,
-    // there is no block to scatter.
+    // CSR views of both operands and delivers inline — the result
+    // is the payload, there is no block to scatter.
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch,
              static_cast<std::uint64_t>(batch.size()));
-    const std::shared_ptr<shard::ShardedMatrix> sharded =
-        registry_.sharded(matrix);
     for (Request& req : batch) {
         auto& w = std::get<SpaddWork>(req.work);
         try {
-            if (sharded) {
-                // Per-shard merge straight off the shard masters; the
-                // secondary operand still comes through the registry's
-                // whole-matrix CSR view.
-                const MatrixRegistry::EncodingPtr b =
-                    registry_.encodedAs(w.other, eng::Format::kCsr);
-                fmt::CooMatrix sum = sharded->spadd(
-                    b->as<fmt::CsrMatrix>(),
-                    compute_ == ComputeExec::kParallel ? &pool_
-                                                       : nullptr);
-                req.computed = Request::Clock::now();
-                deliver(req, w, std::move(sum));
-                continue;
-            }
             const MatrixRegistry::EncodingPtr a =
                 registry_.encodedAs(matrix, eng::Format::kCsr);
             const MatrixRegistry::EncodingPtr b =

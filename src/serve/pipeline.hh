@@ -22,15 +22,15 @@
  * with kInternal, and a request whose deadline passed before its
  * batch computed resolves to kDeadlineExceeded.
  *
- * Delivery also records each request's submit→delivery latency into
- * a per-priority histogram (latency.hh) — the source of the
- * throughput bench's p50/p99 report.
+ * Delivery also records each request's submit→delivery latency, in
+ * microseconds, into a per-priority obs::Histogram — the source of
+ * the throughput bench's p50/p99 report.
  *
  * The pipeline is also the registry's re-encode scheduler: when a
  * mutated matrix drifts across a format boundary, postReencode()
  * runs the rebuild as one more pool task, so requests keep flowing
  * on the old encoding (their compute stages hold its shared_ptr)
- * until the registry swaps the new one in.
+ * until the matrix stack swaps the new one in.
  *
  * Ownership/threading contract: the pipeline borrows the registry
  * and the pool — both must outlive it. All entry points are
@@ -49,8 +49,8 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "obs/metrics.hh"
 #include "serve/batcher.hh"
-#include "serve/latency.hh"
 #include "serve/registry.hh"
 #include "serve/request.hh"
 
@@ -105,21 +105,21 @@ struct PipelineStats
     std::atomic<std::uint64_t> widestBatch{0};
     std::atomic<std::uint64_t> reencodes{0}; //!< drift re-encodes run
 
-    /** Submit→delivery latency per priority class. */
-    LatencyHistogram latencyByPriority[kNumPriorities];
+    /** Submit→delivery latency (microseconds) per priority class. */
+    obs::Histogram latencyByPriority[kNumPriorities];
 
-    /** Per-stage latency of every delivered request (trace spans
-     *  aggregated; the same samples feed the registry's
+    /** Per-stage latency (microseconds) of every delivered request
+     *  (trace spans aggregated; the same samples feed the registry's
      *  smash_pipeline_stage_latency_us{stage=...} series). */
-    LatencyHistogram stageLatency[kNumPipelineStages];
+    obs::Histogram stageLatency[kNumPipelineStages];
 
-    const LatencyHistogram&
+    const obs::Histogram&
     latency(Priority p) const
     {
         return latencyByPriority[static_cast<std::size_t>(p)];
     }
 
-    const LatencyHistogram&
+    const obs::Histogram&
     stage(PipelineStage s) const
     {
         return stageLatency[static_cast<std::size_t>(s)];
@@ -130,8 +130,8 @@ struct PipelineStats
     std::uint64_t
     queueUs() const
     {
-        return stageLatency[0].sumUs() + stageLatency[1].sumUs() +
-            stageLatency[2].sumUs();
+        return stageLatency[0].sum() + stageLatency[1].sum() +
+            stageLatency[2].sum();
     }
 
     /** Compute-side time (compute + deliver) of every delivered
@@ -139,7 +139,7 @@ struct PipelineStats
     std::uint64_t
     computeUs() const
     {
-        return stageLatency[3].sumUs() + stageLatency[4].sumUs();
+        return stageLatency[3].sum() + stageLatency[4].sum();
     }
 };
 

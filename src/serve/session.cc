@@ -405,25 +405,6 @@ Session::submit(SpaddRequest req, SpaddCallback done)
            now, expiry, std::move(admitted.ticket), std::move(work));
 }
 
-std::future<std::vector<Value>>
-Session::submit(const std::string& matrix, std::vector<Value> x)
-{
-    // Shim over the typed path: the adapter unwraps the Result,
-    // rethrowing any failure as FatalError (the legacy contract's
-    // only error channel). Launched async, not deferred, so the
-    // returned future keeps the legacy wait_for()/wait_until()
-    // behaviour (a deferred future never reports ready) — one
-    // short-lived thread per call is fine for a deprecated path.
-    return std::async(
-        std::launch::async,
-        [f = submit(SpmvRequest{matrix, std::move(x)})]() mutable {
-            Result<std::vector<Value>> r = f.get();
-            if (!r.ok())
-                throw FatalError(r.status().toString());
-            return std::move(r).value();
-        });
-}
-
 void
 Session::close()
 {

@@ -156,15 +156,6 @@ class Session
     void submit(SpaddRequest req, SpaddCallback done);
 
     /**
-     * Legacy SpMV entry — a shim over the typed path: statuses
-     * surface as FatalError from future::get() instead of Results.
-     */
-    [[deprecated("use submit(SpmvRequest) and the Result status "
-                 "model")]]
-    std::future<std::vector<Value>>
-    submit(const std::string& matrix, std::vector<Value> x);
-
-    /**
      * Stop admitting: every later (and every blocked) submit
      * resolves to kShuttingDown, then in-flight work drains.
      * Idempotent; the destructor calls it.

@@ -1,14 +1,13 @@
 #include "shard/sharded_matrix.hh"
 
 #include <algorithm>
-#include <functional>
 #include <thread>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/numa_topology.hh"
+#include "common/parallel_exec.hh"
 #include "common/thread_pool.hh"
-#include "engine/autoselect.hh"
 #include "engine/dispatch.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -25,17 +24,18 @@ namespace
 {
 
 /**
- * Run @p fn on a fresh thread whose affinity is set (best-effort)
- * to @p cpus first, so every page @p fn faults in is first-touched
+ * A thread that first sets its affinity (best-effort) to @p cpus,
+ * then runs @p fn — so every page @p fn faults in is first-touched
  * on those CPUs' node. A restricted cpuset may reject the mask; the
- * build then runs wherever the scheduler puts it — placement is an
- * optimization, never a correctness requirement.
+ * work then runs wherever the scheduler puts it — placement is an
+ * optimization, never a correctness requirement. @p cpus must
+ * outlive the thread.
  */
-void
-runFirstTouch(const std::vector<int>& cpus,
-              const std::function<void()>& fn)
+template <typename F>
+std::thread
+pinnedThread(const std::vector<int>& cpus, F fn)
 {
-    std::thread th([&] {
+    return std::thread([&cpus, fn = std::move(fn)] {
 #if defined(__linux__)
         cpu_set_t set;
         CPU_ZERO(&set);
@@ -51,37 +51,33 @@ runFirstTouch(const std::vector<int>& cpus,
 #endif
         fn();
     });
-    th.join();
 }
 
+/** Run @p body with ParallelExec over @p pool, or with NativeExec
+ *  when there is none. */
+template <typename F>
 void
-accumulate(eng::MutationStats& into, const eng::MutationStats& st)
+withExec(exec::ThreadPool* pool, const F& body)
 {
-    into.inserted += st.inserted;
-    into.removed += st.removed;
-    into.updated += st.updated;
-}
-
-obs::Counter&
-shardReencodeCounter(Index shard)
-{
-    return obs::MetricsRegistry::global().counter(
-        "smash_shard_reencodes_total{shard=\"" +
-        std::to_string(shard) + "\"}");
+    if (pool != nullptr) {
+        exec::ParallelExec pe(*pool);
+        body(pe);
+    } else {
+        sim::NativeExec ne;
+        body(ne);
+    }
 }
 
 } // namespace
 
-ShardedMatrix::ShardedMatrix(std::string name,
-                             const fmt::CsrMatrix& master,
-                             Index shards, const BuildOptions& build)
+ShardedMatrix::ShardedMatrix(std::string name, fmt::CsrMatrix master,
+                             Index shards, const BuildOptions& build,
+                             std::optional<eng::Format> format)
     : name_(std::move(name)),
       rows_(master.rows()),
       cols_(master.cols()),
       build_(build)
 {
-    SMASH_CHECK(rows_ > 0 && cols_ > 0,
-                "cannot shard an empty matrix");
     const Index k =
         std::max<Index>(1, std::min<Index>(shards, rows_));
 
@@ -114,33 +110,43 @@ ShardedMatrix::ShardedMatrix(std::string name,
         shards_.push_back(std::move(sh));
     }
 
-    // Build every shard's arrays on a thread pinned to its CPU
-    // subset so the slice, the profile, and the initial encoding
-    // are first-touched on the shard's node.
-    std::vector<std::thread> builders;
-    builders.reserve(shards_.size());
-    for (Index i = 0; i < k; ++i) {
-        builders.emplace_back([this, i, &master] {
-            Shard& sh = *shards_[static_cast<std::size_t>(i)];
-            runFirstTouch(sh.cpus, [this, &sh, &master] {
+    if (k == 1) {
+        shards_.front()->master = std::move(master);
+        settleFormat(*shards_.front(), format);
+    } else {
+        // Slice every band on a thread pinned to its CPU subset so
+        // the slice and its profile are first-touched on the
+        // shard's node.
+        std::vector<std::thread> builders;
+        builders.reserve(shards_.size());
+        for (const auto& shp : shards_) {
+            Shard& sh = *shp;
+            builders.push_back(pinnedThread(sh.cpus, [&] {
                 sh.master = master.rowSlice(sh.rowBegin, sh.rowEnd);
-                sh.profile = eng::StructureTracker(sh.master);
-                sh.decision = eng::confirmFormat(
-                    sh.master, eng::chooseFormat(sh.profile.stats()),
-                    build_);
-                sh.pendingTarget = sh.decision.format;
-                sh.encoding =
-                    std::make_shared<const eng::SparseMatrixAny>(
-                        eng::SparseMatrixAny::fromCsr(
-                            sh.master, sh.decision.format, build_));
-                ++sh.conversions;
-            });
-            eng::publishProbe(name_, i, sh.decision);
-            setFormatGauge(i, sh.decision.format);
-        });
+                settleFormat(sh, format);
+            }));
+        }
+        for (std::thread& t : builders)
+            t.join();
     }
-    for (std::thread& t : builders)
-        t.join();
+    for (Index i = 0; i < k; ++i) {
+        const eng::FormatDecision& d =
+            shards_[static_cast<std::size_t>(i)]->decision;
+        eng::publishProbe(name_, i, d);
+        setFormatGauge(i, d.format);
+    }
+}
+
+void
+ShardedMatrix::settleFormat(Shard& sh, std::optional<eng::Format> format)
+{
+    sh.profile = eng::StructureTracker(sh.master);
+    sh.decision = format
+        ? eng::FormatDecision{*format, *format, eng::DecidedBy::kCaller}
+        : eng::confirmFormat(sh.master,
+                             eng::chooseFormat(sh.profile.stats()),
+                             build_);
+    sh.pendingTarget = sh.decision.format;
 }
 
 Index
@@ -192,6 +198,18 @@ ShardedMatrix::shardFormats() const
     for (const auto& sh : shards_) {
         std::lock_guard<std::mutex> lock(sh->mutex);
         out.push_back(sh->decision.format);
+    }
+    return out;
+}
+
+std::vector<eng::Format>
+ShardedMatrix::cachedFormats() const
+{
+    std::vector<eng::Format> out;
+    for (const auto& sh : shards_) {
+        std::lock_guard<std::mutex> lock(sh->mutex);
+        if (sh->encoding)
+            out.push_back(sh->encoding->format());
     }
     return out;
 }
@@ -257,9 +275,15 @@ ShardedMatrix::reencodePending() const
 }
 
 ShardedMatrix::EncodingPtr
-ShardedMatrix::encodedLocked(Shard& sh) const
+ShardedMatrix::shardEncoding(Index shard,
+                             std::optional<eng::Format> format,
+                             bool cachedOnly) const
 {
-    if (!sh.encoding) {
+    Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    if (format && *format != sh.decision.format)
+        return nullptr;
+    if (!sh.encoding && !cachedOnly) {
         sh.encoding = std::make_shared<const eng::SparseMatrixAny>(
             eng::SparseMatrixAny::fromCsr(sh.master, sh.decision.format,
                                           build_));
@@ -268,19 +292,25 @@ ShardedMatrix::encodedLocked(Shard& sh) const
     return sh.encoding;
 }
 
-ShardedMatrix::EncodingPtr
-ShardedMatrix::grabEncoding(Index shard) const
-{
-    Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    return encodedLocked(sh);
-}
-
 void
 ShardedMatrix::ensureEncoded()
 {
-    for (Index i = 0; i < shardCount(); ++i)
-        grabEncoding(i);
+    if (shardCount() == 1) {
+        shardEncoding(0);
+        return;
+    }
+    // Each missing encoding builds on a thread pinned to its
+    // shard's CPU subset (first-touch placement), all at once.
+    std::vector<std::thread> builders;
+    for (Index i = 0; i < shardCount(); ++i) {
+        const Shard& sh = *shards_[static_cast<std::size_t>(i)];
+        if (shardEncoding(i, std::nullopt, /*cachedOnly=*/true))
+            continue;
+        builders.push_back(
+            pinnedThread(sh.cpus, [this, i] { shardEncoding(i); }));
+    }
+    for (std::thread& t : builders)
+        t.join();
 }
 
 bool
@@ -294,13 +324,19 @@ ShardedMatrix::allEncoded() const
     return true;
 }
 
+Index
+ShardedMatrix::xLength() const
+{
+    return shardCount() == 1 ? shardEncoding(0)->xLength() : cols_;
+}
+
 template <typename F>
 void
 ShardedMatrix::forEachShard(exec::ThreadPool* pool,
                             const F& body) const
 {
     const Index k = shardCount();
-    if (pool != nullptr && k > 1) {
+    if (pool != nullptr) {
         // One chunk per shard: sticky chunk claiming hands shard i
         // to the same worker across calls, which with node-major
         // pinning keeps a shard's traffic on its node.
@@ -323,11 +359,16 @@ ShardedMatrix::spmv(const std::vector<Value>& x,
                 "x operand too short");
     SMASH_CHECK(static_cast<Index>(y.size()) >= rows_,
                 "y operand too short");
+    if (shardCount() == 1) {
+        const EncodingPtr enc = shardEncoding(0);
+        withExec(pool, [&](auto& e) { eng::spmv(enc->ref(), x, y, e); });
+        return;
+    }
     const std::uint64_t t0 =
         obs::traceEnabled() ? obs::traceNowNs() : 0;
     forEachShard(pool, [&](Index i) {
         const Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        const EncodingPtr enc = grabEncoding(i);
+        const EncodingPtr enc = shardEncoding(i);
         const Index n = sh.rowEnd - sh.rowBegin;
         // The shard's slice of y, computed locally so the engine's
         // y-accumulate convention stays intact, then gathered into
@@ -358,19 +399,24 @@ ShardedMatrix::spmvBatch(const fmt::DenseMatrix& x,
     SMASH_CHECK(x.cols() == y.cols(), "X/Y width mismatch");
     if (x.cols() == 0)
         return;
+    // spmmBatch pads X to the format's operand length only when the
+    // block falls short of it (per-shard formats diverge, so the
+    // needed length differs per shard).
+    if (shardCount() == 1) {
+        const EncodingPtr enc = shardEncoding(0);
+        withExec(pool,
+                 [&](auto& e) { eng::spmmBatch(enc->ref(), x, y, e); });
+        return;
+    }
     const std::uint64_t t0 =
         obs::traceEnabled() ? obs::traceNowNs() : 0;
     const Index nrhs = x.cols();
     forEachShard(pool, [&](Index i) {
         const Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        const EncodingPtr enc = grabEncoding(i);
+        const EncodingPtr enc = shardEncoding(i);
         const Index n = sh.rowEnd - sh.rowBegin;
         fmt::DenseMatrix local(n, nrhs);
         sim::NativeExec ne;
-        // Each shard pads X to its own format granularity
-        // (per-shard formats diverge, so the needed operand length
-        // differs per shard); spmmBatch copies only when the
-        // logical height falls short.
         eng::spmmBatch(enc->ref(), x, local, ne);
         for (Index r = 0; r < n; ++r)
             for (Index c = 0; c < nrhs; ++c)
@@ -382,81 +428,6 @@ ShardedMatrix::spmvBatch(const fmt::DenseMatrix& x,
     SMASH_TRACE_SPAN(obs::EventKind::kShardScatter, t0,
                      static_cast<std::uint32_t>(shardCount()),
                      static_cast<std::uint32_t>(nrhs));
-}
-
-fmt::CooMatrix
-ShardedMatrix::spadd(const fmt::CsrMatrix& other,
-                     exec::ThreadPool* pool) const
-{
-    SMASH_CHECK(other.rows() == rows_ && other.cols() == cols_,
-                "operand shapes differ");
-    const std::uint64_t t0 =
-        obs::traceEnabled() ? obs::traceNowNs() : 0;
-    std::vector<fmt::CooMatrix> parts(
-        static_cast<std::size_t>(shardCount()));
-    forEachShard(pool, [&](Index i) {
-        const Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        fmt::CooMatrix part(rows_, cols_);
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        // Two-pointer merge of the shard's local rows against the
-        // matching global rows of `other` — the same merge (same
-        // order, same sums, same zero-cancellation rule) as
-        // kern::spaddCsrRange, emitting global row indices.
-        const auto& arp = sh.master.rowPtr();
-        const auto& aci = sh.master.colInd();
-        const auto& av = sh.master.values();
-        const auto& brp = other.rowPtr();
-        const auto& bci = other.colInd();
-        const auto& bv = other.values();
-        const fmt::CsrIndex sentinel =
-            static_cast<fmt::CsrIndex>(cols_);
-        for (Index lr = 0; lr < sh.rowEnd - sh.rowBegin; ++lr) {
-            const Index gr = sh.rowBegin + lr;
-            fmt::CsrIndex ka = arp[static_cast<std::size_t>(lr)];
-            fmt::CsrIndex kb = brp[static_cast<std::size_t>(gr)];
-            const fmt::CsrIndex aEnd =
-                arp[static_cast<std::size_t>(lr) + 1];
-            const fmt::CsrIndex bEnd =
-                brp[static_cast<std::size_t>(gr) + 1];
-            while (ka < aEnd || kb < bEnd) {
-                const fmt::CsrIndex ca =
-                    ka < aEnd ? aci[static_cast<std::size_t>(ka)]
-                              : sentinel;
-                const fmt::CsrIndex cb =
-                    kb < bEnd ? bci[static_cast<std::size_t>(kb)]
-                              : sentinel;
-                Value v;
-                Index col;
-                if (ca == cb) {
-                    v = av[static_cast<std::size_t>(ka)] +
-                        bv[static_cast<std::size_t>(kb)];
-                    col = ca;
-                    ++ka;
-                    ++kb;
-                } else if (ca < cb) {
-                    v = av[static_cast<std::size_t>(ka)];
-                    col = ca;
-                    ++ka;
-                } else {
-                    v = bv[static_cast<std::size_t>(kb)];
-                    col = cb;
-                    ++kb;
-                }
-                if (v != Value(0))
-                    part.add(gr, col, v);
-            }
-        }
-        parts[static_cast<std::size_t>(i)] = std::move(part);
-    });
-    // Shards hold disjoint ascending row bands, so concatenating in
-    // shard order reproduces the unsharded merge's entry order.
-    fmt::CooMatrix out(rows_, cols_);
-    for (const fmt::CooMatrix& part : parts)
-        for (const fmt::CooEntry& e : part.entries())
-            out.add(e.row, e.col, e.value);
-    SMASH_TRACE_SPAN(obs::EventKind::kShardScatter, t0,
-                     static_cast<std::uint32_t>(shardCount()), 1);
-    return out;
 }
 
 fmt::CsrMatrix
@@ -484,22 +455,47 @@ ShardedMatrix::toCsr() const
                                    std::move(values));
 }
 
-void
-ShardedMatrix::finishShardMutation(Index shard, Shard& sh,
-                                   const eng::MutationStats& stats,
-                                   const DriftPolicy& policy,
-                                   ShardMutationOutcome& out)
+eng::SparseMatrixAny
+ShardedMatrix::materialize(eng::Format format) const
 {
-    if (stats.inserted + stats.removed + stats.updated == 0)
+    if (shardCount() > 1)
+        return eng::SparseMatrixAny::fromCsr(toCsr(), format, build_);
+    const Shard& sh = *shards_.front();
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    return eng::SparseMatrixAny::fromCsr(sh.master, format, build_);
+}
+
+template <typename Op>
+void
+ShardedMatrix::mutateShard(Index shard,
+                           const eng::ReselectPolicy& policy,
+                           ShardMutationOutcome& out, const Op& op)
+{
+    Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    eng::StructureTracker& tracker = sh.profile;
+    const eng::MutationStats st =
+        op(sh.master, [&tracker](Index r, Index c, bool inserted) {
+            tracker.onStructureChange(r, c, inserted);
+        });
+    out.stats.inserted += st.inserted;
+    out.stats.removed += st.removed;
+    out.stats.updated += st.updated;
+    if (st.inserted + st.removed + st.updated == 0) {
+        // Nothing changed (empty deltas, scale by 1): keep the
+        // encoding — invalidation would force a pointless
+        // reconversion (the fig20 cost) on the next request.
         return;
+    }
+    // Values changed: the encoding is stale. In-flight readers keep
+    // their shared_ptr epochs; the next use rebuilds from the master.
     ++sh.epoch;
     sh.encoding.reset();
-    if (stats.structural() == 0 || !policy.enabled ||
-        sh.reencodePending)
+    if (st.structural() == 0 || !policy.enabled || sh.reencodePending)
         return;
-    // Same gate as the registry's whole-matrix drift detector, but
-    // against the shard's own churn and nnz — a band can cross a
-    // boundary long before the whole matrix would.
+    // Cheap gate first: don't even snapshot the profile until the
+    // band's accumulated structural churn is worth a decision (a
+    // band can cross a boundary long before the whole matrix would).
     const Index changed = sh.profile.changedSinceRebase();
     const Index need = std::max(
         policy.minChanged,
@@ -511,6 +507,8 @@ ShardedMatrix::finishShardMutation(Index shard, Shard& sh,
     const eng::Format target = eng::chooseFormatSticky(
         sh.profile.stats(), sh.decision.format, policy.margin);
     if (target == sh.decision.format) {
+        // Inside the hysteresis band: stay put, and restart the
+        // drift accumulation so the next check needs fresh churn.
         sh.profile.rebase();
         return;
     }
@@ -520,58 +518,69 @@ ShardedMatrix::finishShardMutation(Index shard, Shard& sh,
         out.reencodeScheduled = true;
         out.target = target;
     }
-    (void)shard;
+}
+
+void
+ShardedMatrix::settleTarget(ShardMutationOutcome& out) const
+{
+    if (out.reencodeScheduled)
+        return;
+    const Shard& sh = *shards_.front();
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    out.target =
+        sh.reencodePending ? sh.pendingTarget : sh.decision.format;
 }
 
 ShardMutationOutcome
 ShardedMatrix::applyUpdates(const fmt::CooMatrix& deltas,
-                            const DriftPolicy& policy)
+                            const eng::ReselectPolicy& policy)
 {
     SMASH_CHECK(deltas.isCanonical(),
                 "deltas must be canonical");
     SMASH_CHECK(deltas.rows() == rows_ && deltas.cols() == cols_,
                 "delta shape differs");
     ShardMutationOutcome out;
+    if (shardCount() == 1) {
+        mutateShard(0, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
+            return eng::applyUpdates(m, deltas, cb);
+        });
+        settleTarget(out);
+        return out;
+    }
     const auto& es = deltas.entries();
     std::size_t i = 0;
     while (i < es.size()) {
         const Index k = shardOfRow(es[i].row);
-        Shard& sh = *shards_[static_cast<std::size_t>(k)];
-        const Index bandEnd = cuts_[static_cast<std::size_t>(k) + 1];
+        const Shard& sh = *shards_[static_cast<std::size_t>(k)];
         // Canonical deltas are row-sorted, so each shard's share is
         // one contiguous run; rebase its rows to shard-local.
         fmt::CooMatrix local(sh.rowEnd - sh.rowBegin, cols_);
-        std::size_t j = i;
-        while (j < es.size() && es[j].row < bandEnd) {
-            local.add(es[j].row - sh.rowBegin, es[j].col,
-                      es[j].value);
-            ++j;
-        }
+        for (; i < es.size() && es[i].row < sh.rowEnd; ++i)
+            local.add(es[i].row - sh.rowBegin, es[i].col, es[i].value);
         local.canonicalize();
-        {
-            std::lock_guard<std::mutex> lock(sh.mutex);
-            eng::StructureTracker& tracker = sh.profile;
-            const eng::MutationStats st = eng::applyUpdates(
-                sh.master, local,
-                [&tracker](Index r, Index c, bool inserted) {
-                    tracker.onStructureChange(r, c, inserted);
-                });
-            accumulate(out.stats, st);
-            finishShardMutation(k, sh, st, policy, out);
-        }
-        i = j;
+        mutateShard(k, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
+            return eng::applyUpdates(m, local, cb);
+        });
     }
+    settleTarget(out);
     return out;
 }
 
 ShardMutationOutcome
 ShardedMatrix::replaceRows(const std::vector<Index>& rows,
                            const fmt::CooMatrix& replacement,
-                           const DriftPolicy& policy)
+                           const eng::ReselectPolicy& policy)
 {
     SMASH_CHECK(replacement.isCanonical(),
                 "replacement must be canonical");
     ShardMutationOutcome out;
+    if (shardCount() == 1) {
+        mutateShard(0, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
+            return eng::replaceRows(m, rows, replacement, cb);
+        });
+        settleTarget(out);
+        return out;
+    }
     const Index k = shardCount();
     std::vector<std::vector<Index>> rowsByShard(
         static_cast<std::size_t>(k));
@@ -582,17 +591,14 @@ ShardedMatrix::replaceRows(const std::vector<Index>& rows,
     std::size_t next = 0;
     for (Index i = 0; i < k; ++i) {
         auto& local_rows = rowsByShard[static_cast<std::size_t>(i)];
-        Shard& sh = *shards_[static_cast<std::size_t>(i)];
+        const Shard& sh = *shards_[static_cast<std::size_t>(i)];
         // Replacement entries are row-sorted; consume this band's
         // contiguous run (every entry names a listed row, so a band
         // with entries always has listed rows too).
         fmt::CooMatrix local(sh.rowEnd - sh.rowBegin, cols_);
-        while (next < es.size() &&
-               es[next].row < cuts_[static_cast<std::size_t>(i) + 1]) {
+        for (; next < es.size() && es[next].row < sh.rowEnd; ++next)
             local.add(es[next].row - sh.rowBegin, es[next].col,
                       es[next].value);
-            ++next;
-        }
         if (local_rows.empty()) {
             SMASH_CHECK(local.nnz() == 0,
                         "replacement entry names an unlisted row");
@@ -601,34 +607,25 @@ ShardedMatrix::replaceRows(const std::vector<Index>& rows,
         for (Index& r : local_rows)
             r -= sh.rowBegin;
         local.canonicalize();
-        {
-            std::lock_guard<std::mutex> lock(sh.mutex);
-            eng::StructureTracker& tracker = sh.profile;
-            const eng::MutationStats st = eng::replaceRows(
-                sh.master, local_rows, local,
-                [&tracker](Index r, Index c, bool inserted) {
-                    tracker.onStructureChange(r, c, inserted);
-                });
-            accumulate(out.stats, st);
-            finishShardMutation(i, sh, st, policy, out);
-        }
+        mutateShard(i, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
+            return eng::replaceRows(m, local_rows, local, cb);
+        });
     }
+    settleTarget(out);
     return out;
 }
 
 ShardMutationOutcome
 ShardedMatrix::scaleValues(Value factor)
 {
+    // Value-only: no structural change, so the drift gate never
+    // runs and the policy is moot.
     ShardMutationOutcome out;
-    const DriftPolicy off{false, 0, 0, 0};
-    for (Index i = 0; i < shardCount(); ++i) {
-        Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        const eng::MutationStats st =
-            eng::scaleValues(sh.master, factor);
-        accumulate(out.stats, st);
-        finishShardMutation(i, sh, st, off, out);
-    }
+    for (Index i = 0; i < shardCount(); ++i)
+        mutateShard(i, {}, out, [&](fmt::CsrMatrix& m, auto) {
+            return eng::scaleValues(m, factor);
+        });
+    settleTarget(out);
     return out;
 }
 
@@ -647,9 +644,10 @@ ShardedMatrix::runPendingReencodes()
     int swapped = 0;
     for (Index i = 0; i < shardCount(); ++i) {
         Shard& sh = *shards_[static_cast<std::size_t>(i)];
+        // A mutation may land while the new encoding builds (the
+        // build runs with no lock held, so serving and updates
+        // continue). The epoch check detects that and rebuilds.
         bool done = false;
-        // Same snapshot / probe / build-unlocked / epoch-checked-swap
-        // loop as the registry's whole-matrix runReencode(), per shard.
         for (int attempt = 0; attempt < 4 && !done; ++attempt) {
             fmt::CsrMatrix snapshot;
             eng::Format current;
@@ -666,13 +664,15 @@ ShardedMatrix::runPendingReencodes()
                 target = sh.pendingTarget;
                 epoch = sh.epoch;
             }
+            // Confirm the rules' target by timing before paying for
+            // its build. A probe that keeps the current format (a
+            // CSR shard the sticky rules would send back to their
+            // pick) ends the re-encode: no swap, no conversion, and
+            // the drift gate starts over.
             const eng::FormatDecision decision =
                 eng::confirmFormat(snapshot, target, build_);
             eng::publishProbe(name_, i, decision);
             if (decision.format == current) {
-                // The probe keeps the current format (a CSR shard
-                // the sticky rules would send back to their pick):
-                // no swap, and the drift gate starts over.
                 std::lock_guard<std::mutex> lock(sh.mutex);
                 sh.decision = decision;
                 sh.reencodePending = false;
@@ -688,6 +688,8 @@ ShardedMatrix::runPendingReencodes()
                 std::lock_guard<std::mutex> lock(sh.mutex);
                 if (sh.epoch != epoch)
                     continue; // a mutation landed: rebuild
+                // Atomic swap: readers still holding the old
+                // shared_ptr finish on the old encoding.
                 sh.decision = decision;
                 sh.encoding = std::move(built);
                 ++sh.conversions;
@@ -697,7 +699,11 @@ ShardedMatrix::runPendingReencodes()
                 done = true;
                 ++swapped;
             }
-            shardReencodeCounter(i).inc();
+            obs::MetricsRegistry::global()
+                .counter("smash_shard_reencodes_total{matrix=\"" +
+                         name_ + "\",shard=\"" + std::to_string(i) +
+                         "\"}")
+                .inc();
             setFormatGauge(i, decision.format);
             SMASH_TRACE_EVENT(obs::EventKind::kShardReencode,
                               static_cast<std::uint32_t>(i),
@@ -705,6 +711,8 @@ ShardedMatrix::runPendingReencodes()
                                   decision.format));
         }
         if (!done) {
+            // Retries exhausted on a busy shard: clear the flag so a
+            // later mutation can re-trigger the reselection.
             std::lock_guard<std::mutex> lock(sh.mutex);
             sh.reencodePending = false;
         }

@@ -1,16 +1,19 @@
 /**
  * @file sharded_matrix.hh
- * ShardedMatrix: one logical matrix row-partitioned into K
- * independent sub-matrices.
+ * ShardedMatrix: the serving layer's one matrix stack — a logical
+ * matrix row-partitioned into K independent sub-matrices. Every
+ * serve::MatrixRegistry entry is one: put() registers K=1,
+ * registerSharded() K>1.
  *
- * Each shard owns a full per-matrix stack of its own — a CSR master
+ * Each shard owns the whole per-matrix lifecycle — a CSR master
  * slice (rows re-indexed to the shard, columns global), an
  * incremental StructureTracker, a §7.2.3 format decision with
  * chooseFormatSticky hysteresis (confirmed by the engine's timing
  * probe, eng::confirmFormat(), at construction and at every drift
- * re-encode), an encoded SparseMatrixAny (whose embedded PlanCache
- * is therefore per-shard), an epoch counter, and a CPU subset
- * derived from the NUMA topology probe (common/numa_topology.hh). A drifting matrix whose bands diverge
+ * re-encode), a lazily built SparseMatrixAny encoding (whose
+ * embedded PlanCache is therefore per-shard), an epoch counter,
+ * and a CPU subset derived from the NUMA topology probe
+ * (common/numa_topology.hh). A drifting matrix whose bands diverge
  * structurally — dense diagonals in one row band, scattered bits in
  * another — re-selects and re-encodes *per band* instead of
  * whole-matrix.
@@ -23,23 +26,28 @@
  * shards is bit-identical to the unsharded execution — regardless
  * of K, of the per-shard format choices, or of the thread count.
  *
- * NUMA placement: shard k maps to node (k mod nodes) and its CPU
- * subset; the shard's arrays are built (first-touched) on a thread
- * pinned to that subset. On a 1-node host the subsets degrade to a
- * round-robin split of the flat CPU list and placement is a no-op
- * by construction. Compute-time locality is approximate: the
- * scatter runs one pool chunk per shard, and the pool's sticky
- * chunk claiming + node-major worker pinning keep shard k on the
- * same worker (hence node) across requests.
+ * K=1 is the plain single-matrix path, at no extra cost: the master
+ * moves into shard 0 without a slice, mutations apply to it
+ * directly, and SpMV runs the engine straight into the caller's y
+ * (ParallelExec over the pool when one is given).
+ *
+ * NUMA placement (K>1): shard k maps to node (k mod nodes) and its
+ * CPU subset; the shard's slice and its encoding are built
+ * (first-touched) on a thread pinned to that subset. On a 1-node
+ * host the subsets degrade to a round-robin split of the flat CPU
+ * list and placement is a no-op by construction. Compute-time
+ * locality is approximate: the scatter runs one pool chunk per
+ * shard, and the pool's sticky chunk claiming + node-major worker
+ * pinning keep shard k on the same worker (hence node) across
+ * requests.
  *
  * Threading: all entry points are thread-safe. Each shard has its
  * own mutex guarding its master/tracker/encoding; compute paths
  * grab the encoding shared_ptr and run unlocked (readers finish on
- * the epoch they hold while a re-encode swaps underneath, exactly
- * like serve::MatrixRegistry). Mutations lock only the shards their
- * deltas touch. Whole-matrix consistency (a mutation racing a
- * concat snapshot) is the caller's affair — serve::MatrixRegistry
- * serializes those on its slot lock.
+ * the epoch they hold while a re-encode swaps underneath). Mutations
+ * lock only the shards their deltas touch. Whole-matrix consistency
+ * (a mutation racing a concat snapshot) is the caller's affair —
+ * serve::MatrixRegistry serializes those on its slot lock.
  */
 
 #ifndef SMASH_SHARD_SHARDED_MATRIX_HH
@@ -49,6 +57,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,16 +77,6 @@ class ThreadPool;
 namespace smash::shard
 {
 
-/** Per-shard drift re-selection gate (mirrors serve::ReselectPolicy;
- *  duplicated here so shard/ does not depend on serve/). */
-struct DriftPolicy
-{
-    bool enabled = true;
-    double minChangedFraction = 0.05;
-    Index minChanged = 16;
-    double margin = 0.1;
-};
-
 /** Snapshot of one shard (stats, tests, tooling). */
 struct ShardInfo
 {
@@ -94,12 +93,15 @@ struct ShardInfo
     bool reencodePending = false;
 };
 
-/** Aggregated result of a mutation routed across shards. */
+/** What one mutation call changed and triggered. */
 struct ShardMutationOutcome
 {
     eng::MutationStats stats;       //!< summed over touched shards
     bool reencodeScheduled = false; //!< >= 1 shard crossed a boundary
-    /** First newly-scheduled shard's target (kCsr when none). */
+    /** Where the matrix is headed: the first newly scheduled shard's
+     *  rule target (its probe may still keep the current format);
+     *  otherwise shard 0's pending target, or its current format
+     *  when none is pending. */
     eng::Format target = eng::Format::kCsr;
 };
 
@@ -111,14 +113,17 @@ class ShardedMatrix
 
     /**
      * Partition @p master into @p shards nnz-balanced row bands
-     * (clamped to [1, rows]) and build each band's master slice,
-     * profile, format choice (the rules' pick, confirmed by
-     * eng::confirmFormat()), and initial encoding on a thread
-     * pinned to the band's NUMA CPU subset (first-touch). @p name
-     * labels the per-shard metrics.
+     * (clamped to [1, rows]) and give each band its master slice,
+     * profile and format: @p format when given (decided by the
+     * caller), else the rules' pick confirmed by
+     * eng::confirmFormat(). No encoding is built yet (see
+     * ensureEncoded()). K>1 slices on threads pinned to each band's
+     * NUMA CPU subset; K=1 keeps @p master as shard 0 and works
+     * inline. @p name labels the per-shard metrics.
      */
-    ShardedMatrix(std::string name, const fmt::CsrMatrix& master,
-                  Index shards, const BuildOptions& build = {});
+    ShardedMatrix(std::string name, fmt::CsrMatrix master,
+                  Index shards, const BuildOptions& build = {},
+                  std::optional<eng::Format> format = std::nullopt);
 
     ShardedMatrix(const ShardedMatrix&) = delete;
     ShardedMatrix& operator=(const ShardedMatrix&) = delete;
@@ -138,6 +143,9 @@ class ShardedMatrix
     ShardInfo shardInfo(Index shard) const;
     /** Every shard's current format, in shard order. */
     std::vector<eng::Format> shardFormats() const;
+    /** The format of every shard encoding built right now, in
+     *  shard order. */
+    std::vector<eng::Format> cachedFormats() const;
     /** Shard 0's format (the registry's "primary" for info()). */
     eng::Format primaryFormat() const;
     /** Shard @p shard's incremental §7.2.3 profile. */
@@ -148,73 +156,87 @@ class ShardedMatrix
     std::size_t reselects() const;    //!< summed over shards
     bool reencodePending() const;     //!< any shard pending
 
-    /** Build any missing shard encoding (first touch converts). */
+    /** Build any missing shard encoding: inline for K=1, otherwise
+     *  one thread per missing shard, pinned to its CPU subset. */
     void ensureEncoded();
     /** True when every shard's encoding is built. */
     bool allEncoded() const;
 
     /**
-     * y += A x, scatter–gather over the shards: each shard computes
-     * its row band into a local slice (first-touched by the worker
-     * that computes it) which is then copied into the caller's y.
-     * With a pool the shards fan out as one chunk each; without one
-     * they run serially. Bit-identical to the unsharded engine call
-     * for any K and thread count. @p y must hold rows() zeros (the
-     * engine convention: callers own the accumulator).
+     * Shard @p shard's current encoding, converting on first use
+     * unless @p cachedOnly. Null when @p cachedOnly finds none
+     * built, or when @p format is given and the shard serves a
+     * different one (checked under the lock of the fetch, so a
+     * racing re-encode cannot hand back another format).
+     */
+    EncodingPtr shardEncoding(Index shard,
+                              std::optional<eng::Format> format = {},
+                              bool cachedOnly = false) const;
+
+    /** Operand height that spmvBatch() takes without a pad copy:
+     *  the encoding's xLength() for K=1, cols() otherwise. */
+    Index xLength() const;
+
+    /**
+     * y += A x. K=1 runs the engine straight into @p y; K>1
+     * scatter–gathers: each shard computes its row band into a
+     * local slice (first-touched by the worker that computes it)
+     * which is then added into @p y. With a pool, K=1 uses
+     * ParallelExec over it and K>1 fans the shards out as one chunk
+     * each; without one everything runs serially. Bit-identical to
+     * the unsharded engine call for any K and thread count. @p y
+     * must hold rows() zeros (the engine convention: callers own
+     * the accumulator).
      */
     void spmv(const std::vector<Value>& x, std::vector<Value>& y,
               exec::ThreadPool* pool) const;
 
     /**
      * Y += A X for a block of right-hand sides (one per column).
-     * @p x needs only the logical height cols(); each shard pads to
-     * its own format granularity internally. Serves both the
-     * batched-SpMV and the dense-operand SpMM request paths.
+     * @p x needs only the logical height cols(); a shorter block
+     * than the format's xLength() is padded (a copy). Serves both
+     * the batched-SpMV and the dense-operand SpMM request paths.
      */
     void spmvBatch(const fmt::DenseMatrix& x, fmt::DenseMatrix& y,
                    exec::ThreadPool* pool) const;
 
     /**
-     * this + @p other as canonical COO, computed per shard (each
-     * shard merges its row band against the matching band of
-     * @p other) and concatenated in row order — bit-identical to
-     * the unsharded kern::spaddCsr merge. Shapes must match.
-     */
-    fmt::CooMatrix spadd(const fmt::CsrMatrix& other,
-                         exec::ThreadPool* pool) const;
-
-    /**
      * The whole-matrix CSR master, concatenated from the shard
      * slices. Row partitioning preserves entry order, so this is
      * bit-identical to the CSR the matrix was constructed from (as
-     * mutated since). Used when a sharded matrix is the secondary
-     * operand of an op that needs a monolithic view.
+     * mutated since).
      */
     fmt::CsrMatrix toCsr() const;
 
+    /** A whole-matrix encoding in @p format, built from the current
+     *  content (shard 0's master itself for K=1, toCsr() else). */
+    eng::SparseMatrixAny materialize(eng::Format format) const;
+
     /**
      * Mutation API: deltas are routed to the shard that owns each
-     * row; only touched shards lock, bump their epoch, drop their
-     * encoding, and run the per-shard drift detector against
-     * @p policy. The caller schedules runPendingReencodes() when
-     * the outcome says a re-encode was crossed (the registry fires
-     * its async hook).
+     * row (K=1: applied to shard 0 as given); only touched shards
+     * lock, bump their epoch, drop their encoding, and run the
+     * drift detector against @p policy. The caller schedules
+     * runPendingReencodes() when the outcome says a re-encode was
+     * crossed (the registry fires its async hook). @p deltas and
+     * @p replacement must be canonical.
      */
     ShardMutationOutcome applyUpdates(const fmt::CooMatrix& deltas,
-                                      const DriftPolicy& policy);
+                                      const eng::ReselectPolicy& policy);
     ShardMutationOutcome replaceRows(const std::vector<Index>& rows,
                                      const fmt::CooMatrix& replacement,
-                                     const DriftPolicy& policy);
+                                     const eng::ReselectPolicy& policy);
     ShardMutationOutcome scaleValues(Value factor);
 
     /**
      * Execute every pending per-shard re-encode: snapshot the shard
      * master, confirm the drift target with eng::confirmFormat(),
      * build it outside the lock, and swap it in if no mutation
-     * intervened (epoch check + retries, like the registry's
-     * whole-matrix path). A probe that keeps the current format
-     * clears the pending flag and rebases the profile without a
-     * swap. Returns the number of shards swapped.
+     * intervened (epoch check; a few retries chase a busy shard,
+     * then the pending flag clears so later drift can re-trigger).
+     * A probe that keeps the current format clears the pending flag
+     * and rebases the profile without a swap. Returns the number of
+     * shards swapped.
      */
     int runPendingReencodes();
 
@@ -229,7 +251,7 @@ class ShardedMatrix
         eng::StructureTracker profile;
         eng::FormatDecision decision; //!< format served, and why
         eng::Format pendingTarget = eng::Format::kCsr;
-        EncodingPtr encoding; //!< null after a mutation invalidates
+        EncodingPtr encoding; //!< null until built / after a mutation
         std::uint64_t epoch = 0;
         std::size_t conversions = 0;
         std::size_t reselects = 0;
@@ -237,16 +259,17 @@ class ShardedMatrix
         mutable std::mutex mutex;
     };
 
-    /** Find-or-build the shard's encoding; its mutex must be held. */
-    EncodingPtr encodedLocked(Shard& sh) const;
-    /** Grab (building if needed) the shard's current encoding. */
-    EncodingPtr grabEncoding(Index shard) const;
-    /** Shared mutation tail for one shard (mutex held): epoch bump,
-     *  encoding drop, drift detection. */
-    void finishShardMutation(Index shard, Shard& sh,
-                             const eng::MutationStats& stats,
-                             const DriftPolicy& policy,
-                             ShardMutationOutcome& out);
+    /** Profile @p sh's master and settle its format (explicit, or
+     *  the rules' pick confirmed by the probe). */
+    void settleFormat(Shard& sh, std::optional<eng::Format> format);
+    /** Apply @p op (master, structure observer) -> MutationStats to
+     *  shard @p shard under its lock, then run the mutation tail:
+     *  epoch bump, encoding drop, drift detection. */
+    template <typename Op>
+    void mutateShard(Index shard, const eng::ReselectPolicy& policy,
+                     ShardMutationOutcome& out, const Op& op);
+    /** Fill out.target when no shard newly scheduled a re-encode. */
+    void settleTarget(ShardMutationOutcome& out) const;
     /** Run @p body for each shard index: one pool chunk per shard
      *  when @p pool is non-null, serially otherwise. */
     template <typename F>

@@ -214,10 +214,10 @@ TEST(Spans, StageAccountingThroughSession)
     const serve::PipelineStats& stats = session.stats();
     for (std::size_t s = 0; s < serve::kNumPipelineStages; ++s) {
         const auto stage = static_cast<serve::PipelineStage>(s);
-        const serve::LatencyHistogram& h = stats.stage(stage);
+        const obs::Histogram& h = stats.stage(stage);
         EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kRequests))
             << serve::toString(stage);
-        EXPECT_GE(h.percentileUs(0.99), h.percentileUs(0.5))
+        EXPECT_GE(h.percentile(0.99), h.percentile(0.5))
             << serve::toString(stage);
     }
     // The queue/compute split exactly partitions the per-stage
@@ -227,7 +227,7 @@ TEST(Spans, StageAccountingThroughSession)
     std::uint64_t by_stage = 0;
     for (std::size_t s = 0; s < serve::kNumPipelineStages; ++s)
         by_stage +=
-            stats.stage(static_cast<serve::PipelineStage>(s)).sumUs();
+            stats.stage(static_cast<serve::PipelineStage>(s)).sum();
     EXPECT_EQ(stage_total, by_stage);
     EXPECT_GT(stage_total, 0u);
 }

@@ -785,28 +785,6 @@ TEST(TypedApi, CloseResolvesLaterSubmitsAsShuttingDown)
               serve::StatusCode::kShuttingDown);
 }
 
-TEST(TypedApi, LegacyShimStillServesAndThrowsOnBadRequests)
-{
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    serve::MatrixRegistry registry;
-    registry.put("m", wl::genClustered(64, 64, 500, 4, 13));
-    serve::Session session(registry, {});
-    std::future<std::vector<Value>> f =
-        session.submit("m", rampVector(64, 2));
-    const std::vector<Value> got = f.get();
-    const std::vector<Value> want =
-        serialOracle(registry, "m", rampVector(64, 2));
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_NEAR(got[i], want[i], 1e-12);
-    // Statuses surface as FatalError at get(), not at submit().
-    std::future<std::vector<Value>> bad =
-        session.submit("nope", rampVector(64, 0));
-    EXPECT_THROW(bad.get(), FatalError);
-#pragma GCC diagnostic pop
-}
-
 TEST(ServeSpmm, ServedBlocksBitIdenticalToDirectSpmm)
 {
     // SpMM requests served through the batcher (several blocks

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the sharded-matrix subsystem (src/shard/): bit-identity
- * of scatter–gather SpMV / batched SpMV / SpAdd against the
- * unsharded engine (all values dyadic, so every summation order is
+ * of scatter–gather SpMV / batched SpMV (and served SpAdd) against
+ * the unsharded engine (all values dyadic, so every summation order is
  * exact and the comparisons are memcmp, not tolerance), delta
  * routing to the owning shard, per-shard divergent format
  * re-selection with per-shard (not whole-matrix) async re-encode,
- * K=1 equivalence, and the NUMA topology probe's invariants.
+ * per-matrix re-encode counters, K=1 as the put() stack, and the
+ * NUMA topology probe's invariants.
  *
  * Thread counts: SMASH_SERVE_THREADS pins one count (the ctest
  * variants run 1, 2, and 8); unset, every count is covered.
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <future>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "common/thread_pool.hh"
 #include "engine/dispatch.hh"
 #include "formats/dense_matrix.hh"
+#include "obs/metrics.hh"
 #include "serve/session.hh"
 #include "shard/sharded_matrix.hh"
 #include "sim/exec_model.hh"
@@ -225,39 +228,6 @@ TEST(Shard, SpmvBatchBitIdenticalToUnsharded)
     }
 }
 
-TEST(Shard, SpaddBitIdenticalToUnsharded)
-{
-    const fmt::CsrMatrix a =
-        fmt::CsrMatrix::fromCoo(scatteredMatrix(150, 150));
-    const fmt::CsrMatrix b = fmt::CsrMatrix::fromCoo(
-        wl::genClustered(150, 150, 900, 5, 23));
-
-    sim::NativeExec ne;
-    const fmt::CooMatrix expect =
-        eng::spadd(a, b, ne).as<fmt::CooMatrix>();
-
-    for (int threads : threadCounts()) {
-        exec::ThreadPool pool(threads);
-        for (const Index k : {Index(1), Index(4)}) {
-            shard::ShardedMatrix sm("spadd", a, k);
-            const fmt::CooMatrix got = sm.spadd(b, &pool);
-            ASSERT_EQ(got.rows(), expect.rows());
-            ASSERT_EQ(got.cols(), expect.cols());
-            ASSERT_EQ(got.nnz(), expect.nnz())
-                << "K=" << k << " threads=" << threads;
-            for (Index i = 0; i < got.nnz(); ++i) {
-                const fmt::CooEntry& ge =
-                    got.entries()[static_cast<std::size_t>(i)];
-                const fmt::CooEntry& ee =
-                    expect.entries()[static_cast<std::size_t>(i)];
-                ASSERT_EQ(ge.row, ee.row);
-                ASSERT_EQ(ge.col, ee.col);
-                ASSERT_EQ(ge.value, ee.value);
-            }
-        }
-    }
-}
-
 TEST(Shard, DeltasRouteToOwningShardOnly)
 {
     const fmt::CsrMatrix master =
@@ -265,6 +235,7 @@ TEST(Shard, DeltasRouteToOwningShardOnly)
     shard::ShardedMatrix sm("route", master, 4);
     ASSERT_EQ(sm.shardCount(), 4);
     const shard::ShardInfo band = sm.shardInfo(2);
+    sm.ensureEncoded();
 
     // Deltas land entirely inside shard 2's row band.
     fmt::CooMatrix deltas(160, 160);
@@ -272,7 +243,7 @@ TEST(Shard, DeltasRouteToOwningShardOnly)
         deltas.add(r, (r * 13) % 160, Value(0.5));
     deltas.canonicalize();
 
-    shard::DriftPolicy off;
+    eng::ReselectPolicy off;
     off.enabled = false;
     const shard::ShardMutationOutcome out =
         sm.applyUpdates(deltas, off);
@@ -384,6 +355,13 @@ TEST(Shard, RegisterShardedK1MatchesPut)
     EXPECT_EQ(sf, pf); // one band sees the whole-matrix profile
     EXPECT_EQ(shard_reg.info("m").shards, 1);
 
+    // put() registers the same 1-shard stack.
+    const std::shared_ptr<shard::ShardedMatrix> stack =
+        plain_reg.sharded("m");
+    ASSERT_TRUE(stack);
+    EXPECT_EQ(stack->shardCount(), 1);
+    EXPECT_EQ(plain_reg.info("m").shards, 1);
+
     const std::vector<Value> x = dyadicOperand(128, 7);
     serve::Session plain(plain_reg);
     serve::Session shrd(shard_reg);
@@ -394,6 +372,83 @@ TEST(Shard, RegisterShardedK1MatchesPut)
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           got.size() * sizeof(Value)),
               0);
+
+    // encoded() is the stack's own encoding, not a second copy, and
+    // a served SpMV and SpMM convert exactly once between them.
+    fmt::DenseMatrix blk(128, 3);
+    for (Index j = 0; j < 128; ++j)
+        for (Index c = 0; c < 3; ++c)
+            blk.at(j, c) = Value(1) + Value((j + c) % 8) * Value(0.125);
+    ASSERT_TRUE(plain.submit(serve::SpmmRequest{"m", blk}).get().ok());
+    const serve::MatrixRegistry::EncodingPtr enc = plain_reg.encoded("m");
+    EXPECT_EQ(enc.get(), stack->shardEncoding(0).get());
+    EXPECT_EQ(plain_reg.conversions("m"), 1u);
+
+    // Served answers equal a direct engine call on that encoding.
+    std::vector<Value> direct(128, Value(0));
+    sim::NativeExec ne;
+    eng::spmv(enc->ref(), x, direct, ne);
+    for (int threads : threadCounts()) {
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        opts.compute = serve::ComputeExec::kParallel;
+        serve::Session session(plain_reg, opts);
+        const std::vector<Value> served =
+            session.submit(serve::SpmvRequest{"m", x}).get().value();
+        ASSERT_EQ(served.size(), direct.size());
+        EXPECT_EQ(std::memcmp(served.data(), direct.data(),
+                              served.size() * sizeof(Value)),
+                  0)
+            << "threads " << threads;
+    }
+    EXPECT_EQ(plain_reg.conversions("m"), 1u);
+}
+
+TEST(Shard, ReencodeCountersAreLabelledPerMatrix)
+{
+    // Drift shard 0 of two matrices to DIA (hook-less registry, so
+    // the re-encodes run inline): each lands in its own
+    // smash_shard_reencodes_total{matrix,shard} series.
+    const Index n = 192;
+    const char* names[] = {"reencode_a", "reencode_b"};
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+    auto series = [&](const char* name) -> obs::Counter& {
+        return metrics.counter(
+            std::string("smash_shard_reencodes_total{matrix=\"") +
+            name + "\",shard=\"0\"}");
+    };
+    serve::MatrixRegistry registry;
+    for (const char* name : names) {
+        registry.registerSharded(name, scatteredMatrix(n, n), 2);
+        ASSERT_NE(registry.format(name), eng::Format::kDia);
+    }
+    std::uint64_t before[2];
+    for (int i = 0; i < 2; ++i)
+        before[i] = series(names[i]).value();
+    for (const char* name : names) {
+        const shard::ShardInfo band = registry.sharded(name)->shardInfo(0);
+        std::vector<Index> rows;
+        fmt::CooMatrix repl(n, n);
+        for (Index r = band.rowBegin; r < band.rowEnd; ++r) {
+            rows.push_back(r);
+            repl.add(r, r, Value(2));
+        }
+        repl.canonicalize();
+        ASSERT_TRUE(registry.replaceRows(name, rows, repl)
+                        .reencodeScheduled)
+            << name;
+        EXPECT_EQ(registry.format(name), eng::Format::kDia) << name;
+    }
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(series(names[i]).value(), before[i] + 1) << names[i];
+    std::ostringstream text;
+    metrics.exportText(text);
+    for (const char* name : names)
+        EXPECT_NE(text.str().find(std::string("smash_shard_reencodes_total{"
+                                        "matrix=\"") +
+                            name + "\",shard=\"0\"}"),
+                  std::string::npos)
+            << name;
 }
 
 TEST(Shard, DivergentPerShardReselection)
