@@ -205,7 +205,6 @@ kindInfo(std::uint16_t kind)
       case EventKind::kDispatch: return {"dispatch", "dispatch"};
       case EventKind::kPlanCacheHit: return {"hit", "plan_cache"};
       case EventKind::kPlanCacheMiss: return {"miss", "plan_cache"};
-      case EventKind::kEpochSwap: return {"epoch_swap", "registry"};
       case EventKind::kNetFrameRx: return {"rx", "net"};
       case EventKind::kNetFrameTx: return {"tx", "net"};
       case EventKind::kNetConn: return {"conn", "net"};
@@ -295,9 +294,6 @@ writeArgs(std::ostream& os, const TraceEvent& e)
       case EventKind::kPlanCacheHit:
       case EventKind::kPlanCacheMiss:
         os << "{\"kind\": " << e.a0 << "}";
-        return;
-      case EventKind::kEpochSwap:
-        os << "{}";
         return;
       case EventKind::kShardScatter:
         os << "{\"shards\": " << e.a0 << ", \"rhs\": " << e.a1 << "}";

@@ -59,7 +59,8 @@ enum class EventKind : std::uint16_t
                           //!< a2 path)
     kPlanCacheHit = 9,    //!< plan served from cache (a0 kind)
     kPlanCacheMiss = 10,  //!< plan built cold (a0 kind)
-    kEpochSwap = 11,      //!< registry re-encode epoch swap
+    // 11 is retired: dumped traces may still hold it, so it is
+    // never reused.
     kNetFrameRx = 12,     //!< wire frame read (a0 op, a1 bytes)
     kNetFrameTx = 13,     //!< wire frame written (a0 op, a1 bytes)
     kNetConn = 14,        //!< connection lifecycle (a0 1=open

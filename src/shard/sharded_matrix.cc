@@ -1,6 +1,7 @@
 #include "shard/sharded_matrix.hh"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -24,33 +25,30 @@ namespace
 {
 
 /**
- * A thread that first sets its affinity (best-effort) to @p cpus,
- * then runs @p fn — so every page @p fn faults in is first-touched
- * on those CPUs' node. A restricted cpuset may reject the mask; the
- * work then runs wherever the scheduler puts it — placement is an
- * optimization, never a correctness requirement. @p cpus must
- * outlive the thread.
+ * Set the calling thread's affinity (best-effort) to @p cpus, so
+ * every page it faults in afterwards is first-touched on those
+ * CPUs' node. A restricted cpuset may reject the mask; the work then
+ * runs wherever the scheduler puts it — placement is an
+ * optimization, never a correctness requirement.
  */
-template <typename F>
-std::thread
-pinnedThread(const std::vector<int>& cpus, F fn)
+void
+pinTo(const std::vector<int>& cpus)
 {
-    return std::thread([&cpus, fn = std::move(fn)] {
 #if defined(__linux__)
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        bool any = false;
-        for (int c : cpus) {
-            if (c >= 0 && c < CPU_SETSIZE) {
-                CPU_SET(c, &set);
-                any = true;
-            }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    bool any = false;
+    for (int c : cpus) {
+        if (c >= 0 && c < CPU_SETSIZE) {
+            CPU_SET(c, &set);
+            any = true;
         }
-        if (any)
-            pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+    }
+    if (any)
+        pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+#else
+    (void)cpus;
 #endif
-        fn();
-    });
 }
 
 /** Run @p body with ParallelExec over @p pool, or with NativeExec
@@ -69,6 +67,41 @@ withExec(exec::ThreadPool* pool, const F& body)
 }
 
 } // namespace
+
+template <typename Job>
+void
+ShardedMatrix::runPinned(const std::vector<Index>& shards,
+                         const Job& job) const
+{
+    // A job's exception is carried to the caller: escaping its
+    // thread would terminate the process.
+    std::vector<std::exception_ptr> errors(shards.size());
+    std::vector<std::thread> threads;
+    threads.reserve(shards.size());
+    const auto joinAll = [&threads] {
+        for (std::thread& t : threads)
+            t.join();
+    };
+    try {
+        for (std::size_t j = 0; j < shards.size(); ++j)
+            threads.emplace_back([&, j] {
+                const Index i = shards[j];
+                pinTo(shards_[static_cast<std::size_t>(i)]->cpus);
+                try {
+                    job(i);
+                } catch (...) {
+                    errors[j] = std::current_exception();
+                }
+            });
+    } catch (...) {
+        joinAll();
+        throw;
+    }
+    joinAll();
+    for (const std::exception_ptr& e : errors)
+        if (e)
+            std::rethrow_exception(e);
+}
 
 ShardedMatrix::ShardedMatrix(std::string name, fmt::CsrMatrix master,
                              Index shards, const BuildOptions& build,
@@ -117,17 +150,14 @@ ShardedMatrix::ShardedMatrix(std::string name, fmt::CsrMatrix master,
         // Slice every band on a thread pinned to its CPU subset so
         // the slice and its profile are first-touched on the
         // shard's node.
-        std::vector<std::thread> builders;
-        builders.reserve(shards_.size());
-        for (const auto& shp : shards_) {
-            Shard& sh = *shp;
-            builders.push_back(pinnedThread(sh.cpus, [&] {
-                sh.master = master.rowSlice(sh.rowBegin, sh.rowEnd);
-                settleFormat(sh, format);
-            }));
-        }
-        for (std::thread& t : builders)
-            t.join();
+        std::vector<Index> all(static_cast<std::size_t>(k));
+        for (Index i = 0; i < k; ++i)
+            all[static_cast<std::size_t>(i)] = i;
+        runPinned(all, [&](Index i) {
+            Shard& sh = *shards_[static_cast<std::size_t>(i)];
+            sh.master = master.rowSlice(sh.rowBegin, sh.rowEnd);
+            settleFormat(sh, format);
+        });
     }
     for (Index i = 0; i < k; ++i) {
         const eng::FormatDecision& d =
@@ -295,22 +325,27 @@ ShardedMatrix::shardEncoding(Index shard,
 void
 ShardedMatrix::ensureEncoded()
 {
-    if (shardCount() == 1) {
-        shardEncoding(0);
-        return;
-    }
-    // Each missing encoding builds on a thread pinned to its
-    // shard's CPU subset (first-touch placement), all at once.
-    std::vector<std::thread> builders;
+    // A K>1 shard's first encoding builds on a thread pinned to its
+    // CPU subset (first-touch placement), all first builds at once.
+    // A rebuild after a mutation runs inline, so a request after
+    // each update starts no threads.
+    std::vector<Index> first;
     for (Index i = 0; i < shardCount(); ++i) {
         const Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        if (shardEncoding(i, std::nullopt, /*cachedOnly=*/true))
-            continue;
-        builders.push_back(
-            pinnedThread(sh.cpus, [this, i] { shardEncoding(i); }));
+        bool pin = false;
+        {
+            std::lock_guard<std::mutex> lock(sh.mutex);
+            if (sh.encoding)
+                continue;
+            pin = shardCount() > 1 && sh.conversions == 0;
+        }
+        if (pin)
+            first.push_back(i);
+        else
+            shardEncoding(i);
     }
-    for (std::thread& t : builders)
-        t.join();
+    if (!first.empty())
+        runPinned(first, [this](Index i) { shardEncoding(i); });
 }
 
 bool
@@ -540,13 +575,6 @@ ShardedMatrix::applyUpdates(const fmt::CooMatrix& deltas,
     SMASH_CHECK(deltas.rows() == rows_ && deltas.cols() == cols_,
                 "delta shape differs");
     ShardMutationOutcome out;
-    if (shardCount() == 1) {
-        mutateShard(0, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
-            return eng::applyUpdates(m, deltas, cb);
-        });
-        settleTarget(out);
-        return out;
-    }
     const auto& es = deltas.entries();
     std::size_t i = 0;
     while (i < es.size()) {
@@ -573,8 +601,14 @@ ShardedMatrix::replaceRows(const std::vector<Index>& rows,
 {
     SMASH_CHECK(replacement.isCanonical(),
                 "replacement must be canonical");
+    SMASH_CHECK(replacement.rows() == rows_ &&
+                    replacement.cols() == cols_,
+                "replacement shape differs");
     ShardMutationOutcome out;
     if (shardCount() == 1) {
+        // One band takes the replacement as given: the band copy
+        // below would hold a second copy of a whole-matrix
+        // replacement at the merge's peak.
         mutateShard(0, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
             return eng::replaceRows(m, rows, replacement, cb);
         });

@@ -27,12 +27,13 @@
  * of K, of the per-shard format choices, or of the thread count.
  *
  * K=1 is the plain single-matrix path, at no extra cost: the master
- * moves into shard 0 without a slice, mutations apply to it
- * directly, and SpMV runs the engine straight into the caller's y
- * (ParallelExec over the pool when one is given).
+ * moves into shard 0 without a slice, and SpMV runs the engine
+ * straight into the caller's y (ParallelExec over the pool when one
+ * is given). applyUpdates and scaleValues take the K>1 band loop
+ * with one band; replaceRows applies the replacement as given.
  *
  * NUMA placement (K>1): shard k maps to node (k mod nodes) and its
- * CPU subset; the shard's slice and its encoding are built
+ * CPU subset; the shard's slice and its first encoding are built
  * (first-touched) on a thread pinned to that subset. On a 1-node
  * host the subsets degrade to a round-robin split of the flat CPU
  * list and placement is a no-op by construction. Compute-time
@@ -156,8 +157,10 @@ class ShardedMatrix
     std::size_t reselects() const;    //!< summed over shards
     bool reencodePending() const;     //!< any shard pending
 
-    /** Build any missing shard encoding: inline for K=1, otherwise
-     *  one thread per missing shard, pinned to its CPU subset. */
+    /** Build any missing shard encoding. A K>1 shard's first build
+     *  runs on a thread pinned to its CPU subset; K=1 and rebuilds
+     *  after a mutation run inline on the caller. A failed build
+     *  throws here. */
     void ensureEncoded();
     /** True when every shard's encoding is built. */
     bool allEncoded() const;
@@ -214,7 +217,7 @@ class ShardedMatrix
 
     /**
      * Mutation API: deltas are routed to the shard that owns each
-     * row (K=1: applied to shard 0 as given); only touched shards
+     * row; only touched shards
      * lock, bump their epoch, drop their encoding, and run the
      * drift detector against @p policy. The caller schedules
      * runPendingReencodes() when the outcome says a re-encode was
@@ -270,6 +273,12 @@ class ShardedMatrix
                      ShardMutationOutcome& out, const Op& op);
     /** Fill out.target when no shard newly scheduled a re-encode. */
     void settleTarget(ShardMutationOutcome& out) const;
+    /** Run @p job(i) for every shard index in @p shards at once,
+     *  each on a thread pinned to shard i's CPUs (first-touch
+     *  placement); joins them all, then rethrows the first failure. */
+    template <typename Job>
+    void runPinned(const std::vector<Index>& shards,
+                   const Job& job) const;
     /** Run @p body for each shard index: one pool chunk per shard
      *  when @p pool is non-null, serially otherwise. */
     template <typename F>

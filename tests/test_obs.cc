@@ -282,7 +282,7 @@ TEST(TraceDump, ProducesValidJson)
     obs::record(obs::EventKind::kDispatch, 1, 2, 2);
     obs::record(obs::EventKind::kPlanCacheHit, 0);
     obs::record(obs::EventKind::kPlanCacheMiss, 3);
-    obs::record(obs::EventKind::kEpochSwap, 7);
+    obs::record(obs::EventKind::kShardReencode, 7);
     const std::uint64_t t0 = obs::traceNowNs();
     obs::recordSpan(obs::EventKind::kPoolBatch, t0, 16, 4096);
     obs::recordSpan(obs::EventKind::kPoolTask, t0);

@@ -6,8 +6,9 @@
  * exact and the comparisons are memcmp, not tolerance), delta
  * routing to the owning shard, per-shard divergent format
  * re-selection with per-shard (not whole-matrix) async re-encode,
- * per-matrix re-encode counters, K=1 as the put() stack, and the
- * NUMA topology probe's invariants.
+ * per-matrix re-encode counters, a failed shard build failing its
+ * request (not the process), K=1 as the put() stack, and the NUMA
+ * topology probe's invariants.
  *
  * Thread counts: SMASH_SERVE_THREADS pins one count (the ctest
  * variants run 1, 2, and 8); unset, every count is covered.
@@ -72,6 +73,23 @@ scatteredMatrix(Index rows, Index cols, Index seed = 11)
             coo.add(r, (r * 37 + k * 53 + seed) % cols,
                     Value(1) + Value((r + k + seed) % 8) * Value(0.125));
     }
+    coo.canonicalize();
+    return coo;
+}
+
+/** Two aligned 8-column blocks per row, 7 of 8 filled, at shifting
+ *  positions, dyadic values: block locality 7/8, so the rules pick
+ *  kSmash. */
+fmt::CooMatrix
+clusteredMatrix(Index rows, Index cols)
+{
+    fmt::CooMatrix coo(rows, cols);
+    const Index blocks = cols / 8;
+    for (Index r = 0; r < rows; ++r)
+        for (Index b : {(r * 3) % blocks, (r * 3 + 5) % blocks})
+            for (Index j = 0; j < 7; ++j)
+                coo.add(r, b * 8 + j,
+                        Value(1) + Value((r + j) % 8) * Value(0.125));
     coo.canonicalize();
     return coo;
 }
@@ -272,6 +290,14 @@ TEST(Shard, DeltasRouteToOwningShardOnly)
     EXPECT_EQ(std::memcmp(y.data(), expect.data(),
                           y.size() * sizeof(Value)),
               0);
+
+    // A replacement of another shape is refused before any band
+    // changes: its extra row lies past the last band.
+    fmt::CooMatrix tall(161, 160);
+    tall.add(160, 0, Value(1));
+    tall.canonicalize();
+    EXPECT_THROW(sm.replaceRows({159}, tall, off), FatalError);
+    EXPECT_EQ(sm.epoch(), 1u);
 }
 
 TEST(Shard, RegistryShardedServesBitIdenticalToUnsharded)
@@ -402,6 +428,46 @@ TEST(Shard, RegisterShardedK1MatchesPut)
             << "threads " << threads;
     }
     EXPECT_EQ(plain_reg.conversions("m"), 1u);
+}
+
+TEST(Shard, FailedShardBuildFailsTheRequestNotTheProcess)
+{
+    // A SMASH hierarchy ratio below 2 makes every kSmash build
+    // throw. Below the probe floor the rules decide alone, so the
+    // K=2 registration builds nothing; the first request's prepare
+    // hop hits the throw on the shards' pinned build threads. The
+    // request fails kInternal and the session keeps serving.
+    eng::SparseMatrixAny::BuildOptions broken;
+    broken.smashHierarchy = {1};
+    serve::MatrixRegistry registry;
+    ASSERT_EQ(registry.registerSharded("broken", clusteredMatrix(64, 256),
+                                       2, broken),
+              eng::Format::kSmash);
+    registry.put("fine", scatteredMatrix(64, 64));
+    serve::Session session(registry);
+    for (int attempt = 0; attempt < 2; ++attempt)
+        EXPECT_EQ(session
+                      .submit(serve::SpmvRequest{"broken",
+                                                 dyadicOperand(256, 1)})
+                      .get()
+                      .status()
+                      .code(),
+                  serve::StatusCode::kInternal)
+            << "attempt " << attempt;
+    EXPECT_FALSE(registry.sharded("broken")->allEncoded());
+    EXPECT_TRUE(
+        session.submit(serve::SpmvRequest{"fine", dyadicOperand(64, 1)})
+            .get()
+            .ok());
+
+    // Above the probe floor each shard's probe builds a kSmash band
+    // on its pinned slicing thread: the registration throws instead.
+    const fmt::CooMatrix large = clusteredMatrix(4800, 256);
+    ASSERT_GT(large.nnz() / 2, eng::kProbeSampleNnz);
+    EXPECT_THROW(registry.registerSharded("broken_probe", large, 2,
+                                          broken),
+                 FatalError);
+    EXPECT_FALSE(registry.contains("broken_probe"));
 }
 
 TEST(Shard, ReencodeCountersAreLabelledPerMatrix)
