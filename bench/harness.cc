@@ -21,31 +21,16 @@ usage(const char* prog, const std::string& complaint)
 {
     std::cerr << prog << ": " << complaint << "\n"
               << "usage: " << prog
-              << " [--threads N] [--exec {native,parallel,sim}]"
-                 " [--pin]\n";
+              << " [--threads N] [--pin]\n";
     std::exit(2);
 }
 
 } // namespace
 
-const char*
-toString(ExecKind kind)
-{
-    switch (kind) {
-      case ExecKind::kNative:
-        return "native";
-      case ExecKind::kParallel:
-        return "parallel";
-      case ExecKind::kSim:
-        return "sim";
-    }
-    SMASH_PANIC("unknown exec kind");
-}
-
 BenchCli
-parseBenchCli(int argc, char** argv, const BenchCli& defaults)
+parseBenchCli(int argc, char** argv)
 {
-    BenchCli cli = defaults;
+    BenchCli cli;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
         if (std::strcmp(arg, "--threads") == 0) {
@@ -57,18 +42,6 @@ parseBenchCli(int argc, char** argv, const BenchCli& defaults)
                 usage(argv[0], std::string("bad thread count '") +
                                    argv[i] + "'");
             cli.threads = static_cast<int>(n);
-        } else if (std::strcmp(arg, "--exec") == 0) {
-            if (++i >= argc)
-                usage(argv[0], "--exec needs a value");
-            if (std::strcmp(argv[i], "native") == 0)
-                cli.exec = ExecKind::kNative;
-            else if (std::strcmp(argv[i], "parallel") == 0)
-                cli.exec = ExecKind::kParallel;
-            else if (std::strcmp(argv[i], "sim") == 0)
-                cli.exec = ExecKind::kSim;
-            else
-                usage(argv[0], std::string("bad exec kind '") +
-                                   argv[i] + "'");
         } else if (std::strcmp(arg, "--pin") == 0) {
             cli.pin = true;
         } else {

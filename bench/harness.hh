@@ -28,33 +28,19 @@
 namespace smash::bench
 {
 
-/** Execution model selected on a bench command line. */
-enum class ExecKind
-{
-    kNative,   //!< serial native kernels (wall clock)
-    kParallel, //!< ParallelExec drivers (wall clock)
-    kSim,      //!< SimExec (cycle-accurate cost model)
-};
-
-/** Short lower-case name ("native", "parallel", "sim"). */
-const char* toString(ExecKind kind);
-
 /** Options shared by the CLI-driven benches. */
 struct BenchCli
 {
-    int threads = 4;                  //!< --threads N
-    ExecKind exec = ExecKind::kNative; //!< --exec {native,parallel,sim}
-    bool pin = false;                 //!< --pin: pin pool workers
+    int threads = 4;  //!< --threads N
+    bool pin = false; //!< --pin: pin pool workers
 };
 
 /**
- * Parse --threads N, --exec {native,parallel,sim}, and --pin from a
- * bench command line (all optional, @p defaults seeds the rest).
- * Prints usage and exits(2) on an unknown flag or a malformed
- * value.
+ * Parse --threads N and --pin from a bench command line (both
+ * optional). Prints usage and exits(2) on an unknown flag or a
+ * malformed value.
  */
-BenchCli parseBenchCli(int argc, char** argv,
-                       const BenchCli& defaults = {});
+BenchCli parseBenchCli(int argc, char** argv);
 
 /** Simulated-cost measurement of one kernel run. */
 struct SimResult

@@ -56,18 +56,7 @@ bestSeconds(int reps, Fn&& fn)
 int
 run(int argc, char** argv)
 {
-    BenchCli defaults;
-    defaults.exec = ExecKind::kParallel;
-    const BenchCli cli = parseBenchCli(argc, argv, defaults);
-    if (cli.exec != ExecKind::kParallel) {
-        // This study is by definition ParallelExec vs the serial
-        // native path; accepting --exec and ignoring it would be
-        // misleading.
-        std::cerr << "parallel_scaling always compares ParallelExec "
-                     "against the serial native path; --exec is not "
-                     "supported here\n";
-        return 2;
-    }
+    const BenchCli cli = parseBenchCli(argc, argv);
     const double scale = wl::benchScale(1.0);
     preamble("Parallel scaling (extension)",
              "ParallelExec SpMV speedup over the serial native path "

@@ -17,10 +17,10 @@
  * format — the acceptance bar of the update-and-reselect subsystem.
  *
  *   --smoke       tiny workload + fewer reps (CI)
- *   --threads N   accepted for harness uniformity (compute is the
- *                 serial native kernel; the study isolates format
- *                 effects, not parallel scaling)
  *   SMASH_BENCH_SCALE  shrinks the matrix and the drift volume
+ *
+ * Compute is the serial native kernel: the study isolates format
+ * effects, not parallel scaling.
  */
 
 #include <algorithm>
@@ -84,14 +84,14 @@ int
 run(int argc, char** argv)
 {
     bool smoke = false;
-    std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            args.push_back(argv[i]);
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--smoke") != 0) {
+            std::cerr << argv[0] << ": unknown flag '" << argv[i]
+                      << "'\nusage: " << argv[0] << " [--smoke]\n";
+            return 2;
+        }
+        smoke = true;
     }
-    parseBenchCli(static_cast<int>(args.size()), args.data());
     const double scale = wl::benchScale(smoke ? 0.25 : 1.0);
     preamble("Reselection under drift (extension)",
              "post-drift SpMV of a served matrix: format pinned at "

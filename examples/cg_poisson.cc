@@ -10,9 +10,9 @@
  * Run:    ./build/examples/cg_poisson [grid_side]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hh"
 #include "engine/operator.hh"
 #include "isa/bmu.hh"
 #include "sim/exec_model.hh"
@@ -25,7 +25,8 @@ main(int argc, char** argv)
 {
     using namespace smash;
 
-    const Index side = argc > 1 ? std::atol(argv[1]) : 48;
+    const Index side =
+        examples::positiveArg(argc, argv, 1, 48, "[grid_side]");
     fmt::CooMatrix coo = wl::genPoisson2d(side, side);
     fmt::CsrMatrix a = fmt::CsrMatrix::fromCoo(coo);
     core::SmashMatrix smash = core::SmashMatrix::fromCoo(

@@ -10,10 +10,10 @@
  * Usage: format_tuning [clustered|scatter|powerlaw] [rows] [nnz]
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
+#include "cli_args.hh"
 #include "common/table.hh"
 #include "core/smash_matrix.hh"
 #include "engine/dispatch.hh"
@@ -27,8 +27,9 @@ main(int argc, char** argv)
     using namespace smash;
 
     const char* structure = argc > 1 ? argv[1] : "clustered";
-    Index rows = argc > 2 ? std::atoll(argv[2]) : 4096;
-    Index nnz = argc > 3 ? std::atoll(argv[3]) : 200000;
+    const char* usage = "[clustered|scatter|powerlaw] [rows] [nnz]";
+    Index rows = examples::positiveArg(argc, argv, 2, 4096, usage);
+    Index nnz = examples::positiveArg(argc, argv, 3, 200000, usage);
 
     fmt::CooMatrix coo;
     if (std::strcmp(structure, "scatter") == 0) {

@@ -10,9 +10,9 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hh"
 #include "graph/generators.hh"
 #include "graph/pagerank.hh"
 #include "sim/exec_model.hh"
@@ -22,8 +22,9 @@ main(int argc, char** argv)
 {
     using namespace smash;
 
-    graph::Vertex n = argc > 1 ? std::atoll(argv[1]) : 20000;
-    Index edges = argc > 2 ? std::atoll(argv[2]) : 120000;
+    const char* usage = "[num_vertices] [num_edges]";
+    graph::Vertex n = examples::positiveArg(argc, argv, 1, 20000, usage);
+    Index edges = examples::positiveArg(argc, argv, 2, 120000, usage);
 
     std::cout << "Generating an RMAT graph: " << n << " vertices, ~"
               << edges << " undirected edges...\n";

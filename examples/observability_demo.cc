@@ -102,9 +102,8 @@ main()
         session.drain();
     } // session + pool torn down: trace writers quiesced
 
-    // 4. The Prometheus text exposition — the same bytes a
-    //    /metrics endpoint would serve, also printed by
-    //    `bench/perf_report --metrics`.
+    // 4. The Prometheus text exposition — the same bytes
+    //    `smash_serverd`'s /metrics endpoint serves.
     std::cout << "\n--- metrics exposition ---\n";
     obs::MetricsRegistry::global().exportText(std::cout);
 

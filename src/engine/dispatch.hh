@@ -120,42 +120,17 @@ l2CacheBytes()
     return bytes;
 }
 
-/** SMASH_TILE env → initial TileMode (auto when unset/unparsable). */
-inline int
-initialTileMode()
-{
-    const char* s = std::getenv("SMASH_TILE");
-    if (s == nullptr)
-        return static_cast<int>(TileMode::kAuto);
-    if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0)
-        return static_cast<int>(TileMode::kOff);
-    if (std::strcmp(s, "force") == 0)
-        return static_cast<int>(TileMode::kForce);
-    return static_cast<int>(TileMode::kAuto);
-}
-
-/** SMASH_TILE_COLS env → tile-width override (0 = derive from L2). */
-inline Index
-initialTileCols()
-{
-    const char* s = std::getenv("SMASH_TILE_COLS");
-    if (s == nullptr)
-        return 0;
-    const long v = std::strtol(s, nullptr, 10);
-    return v > 0 ? static_cast<Index>(v) : Index(0);
-}
-
 inline std::atomic<int>&
 tileModeSlot()
 {
-    static std::atomic<int> slot{initialTileMode()};
+    static std::atomic<int> slot{static_cast<int>(TileMode::kAuto)};
     return slot;
 }
 
 inline std::atomic<Index>&
 tileColsSlot()
 {
-    static std::atomic<Index> slot{initialTileCols()};
+    static std::atomic<Index> slot{0};
     return slot;
 }
 
@@ -176,7 +151,7 @@ setTileMode(TileMode mode)
                                  std::memory_order_relaxed);
 }
 
-/** Columns per tile: the SMASH_TILE_COLS / setTileCols override, or
+/** Columns per tile: the setTileCols override, or
  *  a width whose x slice fills about half the L2. */
 inline Index
 tileCols()

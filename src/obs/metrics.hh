@@ -2,10 +2,9 @@
  * @file
  * Process-global metrics layer: named counters, gauges, and
  * power-of-two histograms behind one MetricsRegistry, exported in
- * Prometheus text exposition format. This is the layer the
- * ROADMAP's `/metrics` network endpoint will read from; until that
- * endpoint exists, `bench/perf_report --metrics` and the
- * observability example print the same exposition.
+ * Prometheus text exposition format. `smash_serverd`'s `/metrics`
+ * endpoint serves this exposition, and the observability example
+ * prints it.
  *
  * Hot-path design: a Counter is sharded — each thread increments a
  * cache-line-private atomic slot picked by a stable per-thread id,

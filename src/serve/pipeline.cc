@@ -368,8 +368,7 @@ Pipeline::computeSpmv(const std::string& matrix,
         compute_ == ComputeExec::kParallel ? &pool_ : nullptr;
 
     if (nrhs == 1) {
-        // Unbatched: a literal single-RHS dispatch (this is the
-        // baseline path the throughput bench compares against).
+        // Unbatched: a literal single-RHS dispatch.
         auto& w = std::get<SpmvWork>(batch[0].work);
         std::vector<Value> y(static_cast<std::size_t>(rows), Value(0));
         stack->spmv(w.x, y, pool);

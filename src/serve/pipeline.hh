@@ -24,7 +24,7 @@
  *
  * Delivery also records each request's submit→delivery latency, in
  * microseconds, into a per-priority obs::Histogram — the source of
- * the throughput bench's p50/p99 report.
+ * the observability example's per-priority p50/p99 report.
  *
  * The pipeline is also the registry's re-encode scheduler: when a
  * mutated matrix drifts across a format boundary, postReencode()

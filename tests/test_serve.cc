@@ -195,6 +195,22 @@ TEST(SpmvBatch, SimulatedDispatchBillsTheMachine)
         eng::spmvBatch(m.ref(), x, y, e);
         EXPECT_GT(machine.core().instructions(), 0u);
         EXPECT_TRUE(y.approxEquals(ref, 1e-12)) << eng::toString(f);
+
+        // Batching amortizes: one traversal shared by every RHS
+        // bills fewer cycles than the same RHS issued as back-to-back
+        // single-RHS SpMVs on one machine. Both sides start cold, so
+        // a per-RHS fallback cannot pass on cache warmth alone.
+        sim::Machine individual;
+        sim::SimExec ie(individual);
+        std::vector<Value> xr(static_cast<std::size_t>(x.rows()));
+        for (Index r = 0; r < x.cols(); ++r) {
+            for (Index j = 0; j < x.rows(); ++j)
+                xr[static_cast<std::size_t>(j)] = x.at(j, r);
+            std::vector<Value> yr(48, Value(0));
+            eng::spmv(m.ref(), xr, yr, ie);
+        }
+        EXPECT_LT(machine.core().cycles(), individual.core().cycles())
+            << eng::toString(f);
     }
 }
 
@@ -604,6 +620,9 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
             serve::SessionOptions opts;
             opts.threads = threads;
             opts.maxBatch = 8;
+            // Long enough that no deadline flush fires: every batch
+            // leaves the batcher because its queue reached maxBatch.
+            opts.maxDelay = std::chrono::seconds(10);
             opts.compute = compute;
             serve::Session session(registry, opts);
 
@@ -627,7 +646,14 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
             session.drain();
             EXPECT_EQ(session.stats().completed.load(), 40u);
             EXPECT_EQ(session.stats().failed.load(), 0u);
-            EXPECT_GT(session.stats().batches.load(), 0u);
+            // Batching amortizes: the equal answers above came from
+            // one kernel dispatch per full batch, not per request.
+            EXPECT_EQ(session.stats().batches.load(),
+                      static_cast<std::uint64_t>(n_req / opts.maxBatch))
+                << "threads " << threads;
+            EXPECT_EQ(session.stats().widestBatch.load(),
+                      static_cast<std::uint64_t>(opts.maxBatch))
+                << "threads " << threads;
         }
     }
 }

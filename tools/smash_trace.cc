@@ -2,7 +2,7 @@
  * @file
  * Trace-file companion of the SMASH_TRACE runtime: validates and
  * summarizes the Chrome trace-event JSON written by instrumented
- * runs (bench/serving_throughput, examples/observability_demo).
+ * runs (examples/observability_demo writes one).
  *
  *   smash_trace FILE                 per-subsystem event summary
  *   smash_trace --validate FILE      strict JSON + structure check;
