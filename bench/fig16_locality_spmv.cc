@@ -59,6 +59,13 @@ run()
         std::vector<std::string> row{shape.label};
         double base_cycles = 0;
         for (double loc : localities) {
+            // Scaled-down runs can make the lowest locality points
+            // infeasible; normalize to the first feasible point.
+            if (!wl::localityFits(spec.rows, spec.cols, spec.nnz, block,
+                                  loc)) {
+                row.push_back("n/a");
+                continue;
+            }
             fmt::CooMatrix coo = wl::genWithLocality(
                 spec.rows, spec.cols, spec.nnz, block, loc, spec.seed);
             MatrixBundle bundle;
@@ -70,8 +77,8 @@ run()
                 bundle.coo,
                 core::HierarchyConfig::fromPaperNotation(shape.config));
             double cycles = simSpmv(SpmvScheme::kSmashHw, bundle).cycles;
-            if (loc == localities.front())
-                base_cycles = cycles;
+            if (base_cycles == 0)
+                base_cycles = cycles; // first feasible point
             row.push_back(formatFixed(base_cycles / cycles, 2));
         }
         table.addRow(row);

@@ -55,17 +55,10 @@ run()
         std::vector<std::string> row{shape.label};
         double base_cycles = 0;
         for (double loc : localities) {
-            // Feasibility: the locality generator needs
-            // ceil(nnz / (loc * block)) aligned blocks to fit in the
-            // rows x (cols/block) grid. Scaled-down runs can make
-            // the lowest locality points infeasible (nnz shrinks as
-            // s^1.5 but the grid as s^2); normalize to the first
-            // feasible point instead.
-            const double blocks_needed =
-                static_cast<double>(spec.nnz) / (loc * block);
-            const double grid = static_cast<double>(spec.rows) *
-                (static_cast<double>(spec.cols) / block);
-            if (blocks_needed > grid) {
+            // Scaled-down runs can make the lowest locality points
+            // infeasible; normalize to the first feasible point.
+            if (!wl::localityFits(spec.rows, spec.cols, spec.nnz, block,
+                                  loc)) {
                 row.push_back("n/a");
                 continue;
             }

@@ -9,48 +9,44 @@
 namespace smash::core
 {
 
+template <typename EachEntry>
 SmashMatrix
-SmashMatrix::fromCoo(const fmt::CooMatrix& coo, const HierarchyConfig& cfg)
+SmashMatrix::encode(Index rows, Index cols, Index nnz,
+                    const HierarchyConfig& cfg, EachEntry each)
 {
-    SMASH_CHECK(coo.isCanonical(),
-                "SMASH encoding requires a canonical COO matrix");
-
+    // The paper's §4.1.3 conversion: pass 1 marks occupied blocks
+    // in Bitmap-0, pass 2 scatters the values into the NZA, then
+    // the upper levels are built bottom-up.
     SmashMatrix m;
-    m.rows_ = coo.rows();
-    m.cols_ = coo.cols();
-    m.nnz_ = coo.nnz();
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.nnz_ = nnz;
     const Index bs = cfg.blockSize();
     m.paddedCols_ = static_cast<Index>(
-        roundUp(static_cast<std::uint64_t>(coo.cols()),
+        roundUp(static_cast<std::uint64_t>(cols),
                 static_cast<std::uint64_t>(bs)));
+    const Index blocks_per_row = m.paddedCols_ / bs;
 
-    const Index total_blocks = m.rows_ * (m.paddedCols_ / bs);
+    Bitmap level0(m.rows_ * blocks_per_row);
+    each([&](Index r, Index col, Value) {
+        level0.set(r * blocks_per_row + col / bs);
+    });
 
-    // Pass 1: mark occupied blocks in Bitmap-0.
-    Bitmap level0(total_blocks);
-    auto block_of = [&](const fmt::CooEntry& e) {
-        return (e.row * m.paddedCols_ + e.col) / bs;
-    };
-    for (const fmt::CooEntry& e : coo.entries())
-        level0.set(block_of(e));
-
-    // Pass 2: scatter values into the NZA. COO order is row-major,
-    // matching the Bitmap-0 bit order, so block ordinals are just a
-    // running rank over set bits.
+    // Entries arrive in row-major order, matching the Bitmap-0 bit
+    // order, so block ordinals are just a running rank over set bits.
     const Index n_blocks = level0.countSet();
     m.nza_.assign(static_cast<std::size_t>(n_blocks * bs), Value(0));
     Index cur_bit = -1;
     Index cur_block = -1;
-    for (const fmt::CooEntry& e : coo.entries()) {
-        Index bit = block_of(e);
+    each([&](Index r, Index col, Value v) {
+        const Index bit = r * blocks_per_row + col / bs;
         if (bit != cur_bit) {
-            assert(bit > cur_bit); // canonical order ascends
+            assert(bit > cur_bit); // row-major order ascends
             cur_bit = bit;
             ++cur_block;
         }
-        Index offset = (e.row * m.paddedCols_ + e.col) % bs;
-        m.nza_[static_cast<std::size_t>(cur_block * bs + offset)] = e.value;
-    }
+        m.nza_[static_cast<std::size_t>(cur_block * bs + col % bs)] = v;
+    });
     assert(cur_block + 1 == n_blocks);
 
     m.hierarchy_ = BitmapHierarchy(cfg, std::move(level0));
@@ -58,55 +54,34 @@ SmashMatrix::fromCoo(const fmt::CooMatrix& coo, const HierarchyConfig& cfg)
 }
 
 SmashMatrix
+SmashMatrix::fromCoo(const fmt::CooMatrix& coo, const HierarchyConfig& cfg)
+{
+    SMASH_CHECK(coo.isCanonical(),
+                "SMASH encoding requires a canonical COO matrix");
+    return encode(coo.rows(), coo.cols(), coo.nnz(), cfg,
+                  [&](auto&& visit) {
+                      for (const fmt::CooEntry& e : coo.entries())
+                          visit(e.row, e.col, e.value);
+                  });
+}
+
+SmashMatrix
 SmashMatrix::fromCsr(const fmt::CsrMatrix& csr, const HierarchyConfig& cfg)
 {
-    // The paper's §4.1.3 conversion, without materializing COO:
-    // pass 1 marks occupied blocks in Bitmap-0, pass 2 scatters the
-    // values into the NZA, then the upper levels are built bottom-up.
-    SmashMatrix m;
-    m.rows_ = csr.rows();
-    m.cols_ = csr.cols();
-    m.nnz_ = csr.nnz();
-    const Index bs = cfg.blockSize();
-    m.paddedCols_ = static_cast<Index>(
-        roundUp(static_cast<std::uint64_t>(csr.cols()),
-                static_cast<std::uint64_t>(bs)));
-    const Index blocks_per_row = m.paddedCols_ / bs;
-
-    Bitmap level0(m.rows_ * blocks_per_row);
     const auto& row_ptr = csr.rowPtr();
     const auto& col_ind = csr.colInd();
     const auto& values = csr.values();
-    for (Index r = 0; r < m.rows_; ++r) {
-        for (fmt::CsrIndex j = row_ptr[static_cast<std::size_t>(r)];
-             j < row_ptr[static_cast<std::size_t>(r) + 1]; ++j) {
-            Index col = col_ind[static_cast<std::size_t>(j)];
-            level0.set(r * blocks_per_row + col / bs);
-        }
-    }
-
-    const Index n_blocks = level0.countSet();
-    m.nza_.assign(static_cast<std::size_t>(n_blocks * bs), Value(0));
-    Index cur_bit = -1;
-    Index cur_block = -1;
-    for (Index r = 0; r < m.rows_; ++r) {
-        for (fmt::CsrIndex j = row_ptr[static_cast<std::size_t>(r)];
-             j < row_ptr[static_cast<std::size_t>(r) + 1]; ++j) {
-            Index col = col_ind[static_cast<std::size_t>(j)];
-            Index bit = r * blocks_per_row + col / bs;
-            if (bit != cur_bit) {
-                assert(bit > cur_bit); // CSR iterates in order
-                cur_bit = bit;
-                ++cur_block;
-            }
-            m.nza_[static_cast<std::size_t>(cur_block * bs + col % bs)] =
-                values[static_cast<std::size_t>(j)];
-        }
-    }
-    assert(cur_block + 1 == n_blocks);
-
-    m.hierarchy_ = BitmapHierarchy(cfg, std::move(level0));
-    return m;
+    return encode(csr.rows(), csr.cols(), csr.nnz(), cfg,
+                  [&](auto&& visit) {
+                      for (Index r = 0; r < csr.rows(); ++r) {
+                          const auto sr = static_cast<std::size_t>(r);
+                          for (fmt::CsrIndex j = row_ptr[sr];
+                               j < row_ptr[sr + 1]; ++j) {
+                              const auto sj = static_cast<std::size_t>(j);
+                              visit(r, Index(col_ind[sj]), values[sj]);
+                          }
+                      }
+                  });
 }
 
 SmashMatrix

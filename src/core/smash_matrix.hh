@@ -122,6 +122,16 @@ class SmashMatrix
     bool checkInvariants() const;
 
   private:
+    /**
+     * The one two-pass encoder behind fromCoo() and fromCsr():
+     * @p each(visit) must call visit(row, col, value) for every
+     * entry in row-major order.
+     */
+    template <typename EachEntry>
+    static SmashMatrix encode(Index rows, Index cols, Index nnz,
+                              const HierarchyConfig& cfg,
+                              EachEntry each);
+
     Index rows_ = 0;
     Index cols_ = 0;
     Index paddedCols_ = 0;

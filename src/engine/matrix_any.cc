@@ -129,6 +129,10 @@ SparseMatrixAny::fromCsr(const fmt::CsrMatrix& csr, Format target,
 {
     if (target == Format::kCsr)
         return SparseMatrixAny(csr);
+    if (target == Format::kSmash)
+        return SparseMatrixAny(core::SmashMatrix::fromCsr(
+            csr, core::HierarchyConfig::fromPaperNotation(
+                     opts.smashHierarchy)));
     return fromCoo(csr.toCoo(), target, opts);
 }
 

@@ -86,13 +86,13 @@ dotSpanAvx2(const fmt::CsrIndex* cols, const Value* vals, Index n,
     __m256d acc1 = _mm256_setzero_pd();
     Index k = 0;
     for (; k + 8 <= n; k += 8) {
-        if (k + static_cast<Index>(kern::kXPrefetchDistance) + 7 <
+        if (k + static_cast<Index>(detail::kXPrefetchDistance) + 7 <
             prefetch_limit) {
             // Match the scalar variant's coverage: one prefetch per
             // element, a full group ahead of the gathers.
             for (int l = 0; l < 8; ++l)
-                kern::prefetchRead(&x[static_cast<std::size_t>(
-                    cols[k + kern::kXPrefetchDistance + l])]);
+                detail::prefetchRead(&x[static_cast<std::size_t>(
+                    cols[k + detail::kXPrefetchDistance + l])]);
         }
         const __m128i idx0 = _mm_loadu_si128(
             reinterpret_cast<const __m128i*>(cols + k));
@@ -179,8 +179,8 @@ csrSpmvRangeAvx2(const fmt::CsrMatrix& a, const std::vector<Value>& x,
     const Value* vals = a.values().data();
     const Value* xp = x.data();
     const Index pf_total =
-        kern::wantXPrefetch(static_cast<std::size_t>(a.cols()) *
-                            sizeof(Value))
+        detail::wantXPrefetch(static_cast<std::size_t>(a.cols()) *
+                              sizeof(Value))
             ? static_cast<Index>(a.colInd().size())
             : 0;
     for (Index i = row_begin; i < row_end; ++i) {
@@ -222,12 +222,12 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
     const fmt::CsrIndex* cols = a.colInd().data();
     const Value* vals = a.values().data();
     const std::size_t prefetch_below =
-        kern::wantXPrefetch(
+        detail::wantXPrefetch(
             static_cast<std::size_t>(a.cols() * nrhs) * sizeof(Value))
             ? a.colInd().size()
             : 0;
-    if (nrhs <= kern::kBatchAccumWidth) {
-        alignas(32) Value acc[kern::kBatchAccumWidth];
+    if (nrhs <= detail::kBatchAccumWidth) {
+        alignas(32) Value acc[detail::kBatchAccumWidth];
         for (Index i = row_begin; i < row_end; ++i) {
             auto si = static_cast<std::size_t>(i);
             Value* yr = &y.at(i, 0);
@@ -236,9 +236,9 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
             for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1];
                  ++j) {
                 auto sj = static_cast<std::size_t>(j);
-                const std::size_t ahead = sj + kern::kXPrefetchDistance;
+                const std::size_t ahead = sj + detail::kXPrefetchDistance;
                 if (ahead < prefetch_below)
-                    kern::prefetchRead(
+                    detail::prefetchRead(
                         x.rowData(static_cast<Index>(cols[ahead])));
                 const __m256d v = _mm256_set1_pd(vals[sj]);
                 const Value* xr =
@@ -266,9 +266,9 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
         Value* yr = &y.at(i, 0);
         for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1]; ++j) {
             auto sj = static_cast<std::size_t>(j);
-            const std::size_t ahead = sj + kern::kXPrefetchDistance;
+            const std::size_t ahead = sj + detail::kXPrefetchDistance;
             if (ahead < prefetch_below)
-                kern::prefetchRead(
+                detail::prefetchRead(
                     x.rowData(static_cast<Index>(cols[ahead])));
             const Value vs = vals[sj];
             const __m256d v = _mm256_set1_pd(vs);

@@ -45,11 +45,11 @@ dotSpanAvx512(const fmt::CsrIndex* cols, const Value* vals, Index n,
     __m512d acc = _mm512_setzero_pd();
     Index k = 0;
     for (; k + 8 <= n; k += 8) {
-        if (k + static_cast<Index>(kern::kXPrefetchDistance) + 7 <
+        if (k + static_cast<Index>(detail::kXPrefetchDistance) + 7 <
             prefetch_limit) {
             for (int l = 0; l < 8; ++l)
-                kern::prefetchRead(&x[static_cast<std::size_t>(
-                    cols[k + kern::kXPrefetchDistance + l])]);
+                detail::prefetchRead(&x[static_cast<std::size_t>(
+                    cols[k + detail::kXPrefetchDistance + l])]);
         }
         const __m256i idx = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(cols + k));
@@ -87,8 +87,8 @@ csrSpmvRangeAvx512(const fmt::CsrMatrix& a, const std::vector<Value>& x,
     const Value* vals = a.values().data();
     const Value* xp = x.data();
     const Index pf_total =
-        kern::wantXPrefetch(static_cast<std::size_t>(a.cols()) *
-                            sizeof(Value))
+        detail::wantXPrefetch(static_cast<std::size_t>(a.cols()) *
+                              sizeof(Value))
             ? static_cast<Index>(a.colInd().size())
             : 0;
     for (Index i = row_begin; i < row_end; ++i) {

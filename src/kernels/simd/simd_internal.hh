@@ -40,7 +40,6 @@
 #include "common/logging.hh"
 #include "kernels/simd/simd_kernels.hh"
 #include "kernels/spmv_batch.hh"
-#include "kernels/util.hh"
 
 namespace smash::simd
 {
@@ -53,6 +52,41 @@ const KernelTable& avx512KernelTable();
 
 namespace detail
 {
+
+/**
+ * Best-effort read prefetch into a far cache level. The CSR-family
+ * gather variants issue it for the x element a fixed distance ahead
+ * of the current non-zero: the x access pattern is data-dependent
+ * (the paper's pointer chase), so the hardware stride prefetchers
+ * cannot cover it, but its *address* is known one col_ind load
+ * early. No-op where the builtin is unavailable.
+ */
+inline void
+prefetchRead(const void* p)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0, 1);
+#else
+    (void)p;
+#endif
+}
+
+/** How many non-zeros ahead the gather variants prefetch x. */
+inline constexpr std::size_t kXPrefetchDistance = 16;
+
+/**
+ * Prefetch only pays when the gathered operand cannot sit in the
+ * fast cache levels — on a cache-resident x the extra instruction
+ * per non-zero is pure overhead. 256 KiB ~ a typical L2.
+ */
+inline bool
+wantXPrefetch(std::size_t operand_bytes)
+{
+    return operand_bytes > 256 * 1024;
+}
+
+/** Widest batch the CSR batch variants accumulate on the stack. */
+inline constexpr Index kBatchAccumWidth = 64;
 
 /** The canonical 8-lane reduction tree (see file comment). */
 inline Value
@@ -78,11 +112,11 @@ dotSpanScalar(const fmt::CsrIndex* cols, const Value* vals, Index n,
     for (; k + 8 <= n; k += 8) {
         for (int l = 0; l < 8; ++l) {
             const Index kk = k + l;
-            if (kk + static_cast<Index>(kern::kXPrefetchDistance) <
+            if (kk + static_cast<Index>(kXPrefetchDistance) <
                 prefetch_limit)
-                kern::prefetchRead(
+                prefetchRead(
                     &x[static_cast<std::size_t>(
-                        cols[kk + kern::kXPrefetchDistance])]);
+                        cols[kk + kXPrefetchDistance])]);
             s[l] += vals[kk] *
                     x[static_cast<std::size_t>(cols[kk])];
         }

@@ -23,11 +23,12 @@ csrSpmvRangeScalar(const fmt::CsrMatrix& a, const std::vector<Value>& x,
     const fmt::CsrIndex* cols = a.colInd().data();
     const Value* vals = a.values().data();
     const Value* xp = x.data();
-    // Gate on the gathered range, as in kern::spmvCsrRange: prefetch
-    // only pays when x cannot sit in the fast cache levels.
+    // Gate on the gathered range (a.cols()), not x.size(): an
+    // arena-padded x is a grow-only buffer whose capacity says
+    // nothing about how much of it this matrix touches.
     const Index pf_total =
-        kern::wantXPrefetch(static_cast<std::size_t>(a.cols()) *
-                            sizeof(Value))
+        detail::wantXPrefetch(static_cast<std::size_t>(a.cols()) *
+                              sizeof(Value))
             ? static_cast<Index>(a.colInd().size())
             : 0;
     for (Index i = row_begin; i < row_end; ++i) {
@@ -75,14 +76,14 @@ csrSpmvBatchRangeScalar(const fmt::CsrMatrix& a,
     const fmt::CsrIndex* cols = a.colInd().data();
     const Value* vals = a.values().data();
     const std::size_t prefetch_below =
-        kern::wantXPrefetch(
+        detail::wantXPrefetch(
             static_cast<std::size_t>(a.cols() * nrhs) * sizeof(Value))
             ? a.colInd().size()
             : 0;
-    if (nrhs <= kern::kBatchAccumWidth) {
+    if (nrhs <= detail::kBatchAccumWidth) {
         // Stack accumulators keep the row's partial sums in
         // registers (X/Y may alias as far as the compiler knows).
-        Value acc[kern::kBatchAccumWidth];
+        Value acc[detail::kBatchAccumWidth];
         for (Index i = row_begin; i < row_end; ++i) {
             auto si = static_cast<std::size_t>(i);
             Value* yr = &y.at(i, 0);
@@ -91,9 +92,9 @@ csrSpmvBatchRangeScalar(const fmt::CsrMatrix& a,
             for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1];
                  ++j) {
                 auto sj = static_cast<std::size_t>(j);
-                const std::size_t ahead = sj + kern::kXPrefetchDistance;
+                const std::size_t ahead = sj + detail::kXPrefetchDistance;
                 if (ahead < prefetch_below)
-                    kern::prefetchRead(
+                    detail::prefetchRead(
                         x.rowData(static_cast<Index>(cols[ahead])));
                 const Value v = vals[sj];
                 const Value* xr =
@@ -111,9 +112,9 @@ csrSpmvBatchRangeScalar(const fmt::CsrMatrix& a,
         Value* yr = &y.at(i, 0);
         for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1]; ++j) {
             auto sj = static_cast<std::size_t>(j);
-            const std::size_t ahead = sj + kern::kXPrefetchDistance;
+            const std::size_t ahead = sj + detail::kXPrefetchDistance;
             if (ahead < prefetch_below)
-                kern::prefetchRead(
+                detail::prefetchRead(
                     x.rowData(static_cast<Index>(cols[ahead])));
             const Value v = vals[sj];
             const Value* xr = x.rowData(static_cast<Index>(cols[sj]));

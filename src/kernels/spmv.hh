@@ -15,6 +15,8 @@
  * SimExec, charges the cost model. Loads whose address depends on a
  * just-loaded value (x[col_ind[j]] in CSR) are tagged kDependent —
  * the pointer-chasing the paper identifies as the key bottleneck.
+ * There is no second native copy: the engine's native CSR and SMASH
+ * SpMV run the ISA-dispatched simd::kernels() table instead.
  */
 
 #ifndef SMASH_KERNELS_SPMV_HH
@@ -146,14 +148,6 @@ spmvCsrRange(const fmt::CsrMatrix& a, const std::vector<Value>& x,
     const auto& row_ptr = a.rowPtr();
     const auto& col_ind = a.colInd();
     const auto& values = a.values();
-    // Gate on the gathered range (a.cols()), not x.size(): an
-    // arena-padded x is a grow-only buffer whose capacity says
-    // nothing about how much of it this matrix touches.
-    const std::size_t prefetch_below =
-        wantXPrefetch(static_cast<std::size_t>(a.cols()) *
-                      sizeof(Value))
-            ? col_ind.size()
-            : 0;
 
     for (Index i = row_begin; i < row_end; ++i) {
         auto si = static_cast<std::size_t>(i);
@@ -165,16 +159,6 @@ spmvCsrRange(const fmt::CsrMatrix& a, const std::vector<Value>& x,
             // Indexing: stream col_ind, then chase into x.
             e.load(&col_ind[sj], sizeof(fmt::CsrIndex));
             fmt::CsrIndex col = col_ind[sj];
-            if constexpr (!E::kSimulated) {
-                // The chase's address is known one col_ind load
-                // ahead: hide the x miss behind the next few FMAs
-                // (skipped entirely for cache-resident operands —
-                // prefetch_below is 0 then).
-                const std::size_t ahead = sj + kXPrefetchDistance;
-                if (ahead < prefetch_below)
-                    prefetchRead(&x[static_cast<std::size_t>(
-                        col_ind[ahead])]);
-            }
             e.load(&x[static_cast<std::size_t>(col)], sizeof(Value),
                    sim::Dep::kDependent);
             e.load(&values[sj], sizeof(Value));
@@ -362,58 +346,6 @@ spmvBcsr(const fmt::BcsrMatrix& a, const std::vector<Value>& x,
 }
 
 /**
- * The literal §4.4 inner loop over Bitmap-0 words
- * [word_begin, word_end): walk each word, CLZ/AND out the set bits,
- * compute on the corresponding dense NZA blocks. @p nza_block must
- * be the rank (number of set bits) of Bitmap-0 before word_begin —
- * the NZA ordinal of the first block in the range. Native-path
- * building block shared by the serial kernel and the engine's
- * word-partitioned parallel driver; words can straddle row
- * boundaries, so parallel callers accumulate into per-thread y
- * copies merged at the barrier.
- */
-inline void
-spmvSmashSwWords(const core::SmashMatrix& a, const std::vector<Value>& x,
-                 std::vector<Value>& y, Index word_begin, Index word_end,
-                 Index nza_block)
-{
-    const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
-    const Value* nza = a.nza().data();
-    Index block = nza_block;
-    // Amortized bit -> (row, col) tracking: bits ascend across the
-    // word range, so the row advances monotonically — one compare
-    // per bit replaces a 64-bit divide per bit. A zero-column
-    // matrix has bits_per_row == 0 (and no set bits): return before
-    // the division instead of faulting on it.
-    const Index bits_per_row = padded_cols / bs;
-    if (word_begin >= word_end || bits_per_row == 0)
-        return;
-    Index row = (word_begin * kBitsPerWord) / bits_per_row;
-    Index row_first_bit = row * bits_per_row;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
-        const Index word_base = w * kBitsPerWord;
-        while (word != 0) {
-            const Index bit = word_base + findFirstSet(word);
-            word = clearLowestSet(word);
-            while (bit >= row_first_bit + bits_per_row) {
-                ++row;
-                row_first_bit += bits_per_row;
-            }
-            const Index col0 = (bit - row_first_bit) * bs;
-            const Value* blk = nza + static_cast<std::size_t>(block * bs);
-            Value acc = 0;
-            for (Index k = 0; k < bs; ++k)
-                acc += blk[k] * x[static_cast<std::size_t>(col0 + k)];
-            y[static_cast<std::size_t>(row)] += acc;
-            ++block;
-        }
-    }
-}
-
-/**
  * Software-only SMASH SpMV (§4.4): the bitmap hierarchy is walked
  * with explicit word loads and CLZ/AND register operations (charged
  * via the cursor's counters); block payloads are dense and
@@ -432,16 +364,6 @@ spmvSmashSw(const core::SmashMatrix& a, const std::vector<Value>& x,
     SMASH_CHECK(static_cast<Index>(y.size()) >= a.rows(), "y too short");
     const Index bs = a.blockSize();
     const int vops = cost::vectorOps(bs);
-
-    if constexpr (!E::kSimulated) {
-        // Native fast path: word-granularity skipping makes the
-        // upper hierarchy levels unnecessary at native speed; the
-        // general cursor below exists for the cost model's
-        // level-accurate billing.
-        spmvSmashSwWords(a, x, y, 0, a.hierarchy().level(0).numWords(),
-                         0);
-        return;
-    }
 
     core::BlockCursor cursor(a);
     cursor.setRecordTouches(E::kSimulated);

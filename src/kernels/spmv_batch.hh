@@ -12,9 +12,9 @@
  * Kernels mirror the single-RHS row-range entry points in spmv.hh:
  * disjoint row ranges touch disjoint Y rows, so the engine's
  * parallel driver hands one range per worker with no
- * synchronization; the SMASH word walk can straddle rows and is
- * combined with per-thread Y accumulators, exactly like the
- * single-RHS driver.
+ * synchronization. As in spmv.hh, one source serves NativeExec and
+ * SimExec; the engine's native CSR and SMASH batches run the
+ * simd::kernels() table instead.
  */
 
 #ifndef SMASH_KERNELS_SPMV_BATCH_HH
@@ -22,7 +22,6 @@
 
 #include <vector>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "core/block_cursor.hh"
 #include "core/smash_matrix.hh"
@@ -55,21 +54,11 @@ batchWidth(Index a_rows, Index a_x_len, const fmt::DenseMatrix& x,
 
 } // namespace detail
 
-/** Widest batch the native CSR kernel accumulates on the stack. */
-inline constexpr Index kBatchAccumWidth = 64;
-
 /**
  * Batched CSR SpMV over rows [row_begin, row_end): the Code
  * Listing 1 loop with an nrhs-wide inner update. Indexing cost per
  * non-zero is identical to spmvCsrRange; only the useful work
  * scales with the batch.
- *
- * The native path accumulates each row's nrhs partial sums in a
- * stack array: the compiler cannot prove X and Y don't alias, so
- * accumulating through the Y pointer forces a load+store per
- * non-zero per RHS — the local array keeps the sums in registers
- * and the inner loop vectorizes. Identical FMA order, so results
- * are bit-equal to the generic loop.
  */
 template <typename E>
 void
@@ -78,54 +67,10 @@ spmvBatchCsrRange(const fmt::CsrMatrix& a, const fmt::DenseMatrix& x,
                   E& e)
 {
     const Index nrhs = detail::batchWidth(a.rows(), a.cols(), x, y);
-    if constexpr (!E::kSimulated) {
-        if (nrhs <= kBatchAccumWidth) {
-            const auto& row_ptr = a.rowPtr();
-            const auto& col_ind = a.colInd();
-            const auto& values = a.values();
-            const std::size_t prefetch_below =
-                wantXPrefetch(
-                    static_cast<std::size_t>(a.cols() * nrhs) *
-                    sizeof(Value))
-                    ? col_ind.size()
-                    : 0;
-            Value acc[kBatchAccumWidth];
-            for (Index i = row_begin; i < row_end; ++i) {
-                auto si = static_cast<std::size_t>(i);
-                Value* yr = &y.at(i, 0);
-                for (Index r = 0; r < nrhs; ++r)
-                    acc[r] = yr[r];
-                for (fmt::CsrIndex j = row_ptr[si];
-                     j < row_ptr[si + 1]; ++j) {
-                    auto sj = static_cast<std::size_t>(j);
-                    const fmt::CsrIndex col = col_ind[sj];
-                    const std::size_t ahead = sj + kXPrefetchDistance;
-                    if (ahead < prefetch_below)
-                        prefetchRead(x.rowData(
-                            static_cast<Index>(col_ind[ahead])));
-                    const Value v = values[sj];
-                    const Value* xr =
-                        x.rowData(static_cast<Index>(col));
-                    for (Index r = 0; r < nrhs; ++r)
-                        acc[r] += v * xr[r];
-                }
-                for (Index r = 0; r < nrhs; ++r)
-                    yr[r] = acc[r];
-            }
-            return;
-        }
-    }
     const int vops = cost::vectorOps(nrhs);
     const auto& row_ptr = a.rowPtr();
     const auto& col_ind = a.colInd();
     const auto& values = a.values();
-    // Gate on the gathered range (a.cols() rows of X), as in
-    // spmvCsrRange.
-    const std::size_t prefetch_below =
-        wantXPrefetch(static_cast<std::size_t>(a.cols() * nrhs) *
-                      sizeof(Value))
-            ? col_ind.size()
-            : 0;
 
     for (Index i = row_begin; i < row_end; ++i) {
         auto si = static_cast<std::size_t>(i);
@@ -135,14 +80,6 @@ spmvBatchCsrRange(const fmt::CsrMatrix& a, const fmt::DenseMatrix& x,
             auto sj = static_cast<std::size_t>(j);
             e.load(&col_ind[sj], sizeof(fmt::CsrIndex));
             const fmt::CsrIndex col = col_ind[sj];
-            if constexpr (!E::kSimulated) {
-                // One chase fetches a whole RHS row; prefetch the
-                // row a few non-zeros ahead (see spmvCsrRange).
-                const std::size_t ahead = sj + kXPrefetchDistance;
-                if (ahead < prefetch_below)
-                    prefetchRead(x.rowData(
-                        static_cast<Index>(col_ind[ahead])));
-            }
             const Value* xr = x.rowData(static_cast<Index>(col));
             // One chase per non-zero fetches a whole RHS row.
             e.load(xr, static_cast<std::size_t>(nrhs) * sizeof(Value),
@@ -257,51 +194,9 @@ spmvBatchDenseRange(const fmt::DenseMatrix& a, const fmt::DenseMatrix& x,
 }
 
 /**
- * Batched §4.4 word walk over Bitmap-0 words [word_begin, word_end):
- * the single-RHS spmvSmashSwWords loop with an nrhs-wide update per
- * NZA element. @p y is the flat row-major rows x nrhs block (a raw
- * pointer so the parallel driver can hand per-thread accumulators);
- * @p nza_block must be the Bitmap-0 rank before word_begin. Words
- * can straddle rows — parallel callers merge private Y copies.
- */
-inline void
-spmvBatchSmashWords(const core::SmashMatrix& a,
-                    const fmt::DenseMatrix& x, Value* y, Index nrhs,
-                    Index word_begin, Index word_end, Index nza_block)
-{
-    const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
-    const Value* nza = a.nza().data();
-    Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
-        while (word != 0) {
-            const Index bit = w * kBitsPerWord + findFirstSet(word);
-            word = clearLowestSet(word);
-            const Index linear = bit * bs;
-            const Index row = linear / padded_cols;
-            const Index col0 = linear % padded_cols;
-            const Value* blk = nza + static_cast<std::size_t>(block * bs);
-            Value* yr = y + static_cast<std::size_t>(row * nrhs);
-            for (Index k = 0; k < bs; ++k) {
-                const Value v = blk[k];
-                if (v == Value(0))
-                    continue;
-                const Value* xr = x.rowData(col0 + k);
-                for (Index r = 0; r < nrhs; ++r)
-                    yr[r] += v * xr[r];
-            }
-            ++block;
-        }
-    }
-}
-
-/**
- * Batched software SMASH SpMV: native path runs the word walk;
- * under simulation the hierarchy scan is billed once per block via
- * the cursor (identical to spmvSmashSw) and the compute charge
- * scales with the batch width.
+ * Batched software SMASH SpMV: the hierarchy scan is billed once
+ * per block via the cursor (identical to spmvSmashSw) and the
+ * compute charge scales with the batch width.
  *
  * @param x must be padded to matrix.paddedCols() rows.
  */
@@ -314,12 +209,6 @@ spmvBatchSmash(const core::SmashMatrix& a, const fmt::DenseMatrix& x,
         detail::batchWidth(a.rows(), a.paddedCols(), x, y);
     const Index bs = a.blockSize();
     const int vops = cost::vectorOps(nrhs);
-
-    if constexpr (!E::kSimulated) {
-        spmvBatchSmashWords(a, x, y.data().data(), nrhs, 0,
-                            a.hierarchy().level(0).numWords(), 0);
-        return;
-    }
 
     core::BlockCursor cursor(a);
     cursor.setRecordTouches(E::kSimulated);

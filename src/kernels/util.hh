@@ -19,38 +19,6 @@ namespace smash::kern
 {
 
 /**
- * Best-effort read prefetch into a far cache level. The CSR-family
- * gather kernels issue it for the x element a fixed distance ahead
- * of the current non-zero: the x access pattern is data-dependent
- * (the paper's pointer chase), so the hardware stride prefetchers
- * cannot cover it, but its *address* is known one col_ind load
- * early. No-op where the builtin is unavailable.
- */
-inline void
-prefetchRead(const void* p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0, 1);
-#else
-    (void)p;
-#endif
-}
-
-/** How many non-zeros ahead the gather kernels prefetch x. */
-inline constexpr std::size_t kXPrefetchDistance = 16;
-
-/**
- * Prefetch only pays when the gathered operand cannot sit in the
- * fast cache levels — on a cache-resident x the extra instruction
- * per non-zero is pure overhead. 256 KiB ~ a typical L2.
- */
-inline bool
-wantXPrefetch(std::size_t operand_bytes)
-{
-    return operand_bytes > 256 * 1024;
-}
-
-/**
  * Bills BlockCursor scan work to an execution model under the
  * compact-storage assumption (paper Fig. 4b): each examined bitmap
  * word lives at a stable synthetic address assigned on first touch

@@ -12,17 +12,6 @@ namespace smash::serve
 namespace
 {
 
-/** Already-resolved future carrying a failure status. */
-template <typename T>
-std::future<Result<T>>
-readyFuture(Status status)
-{
-    std::promise<Result<T>> promise;
-    std::future<Result<T>> future = promise.get_future();
-    promise.set_value(Result<T>(std::move(status)));
-    return future;
-}
-
 Request::Clock::time_point
 expiryOf(Request::Clock::time_point now, const RequestOptions& options)
 {
@@ -267,142 +256,80 @@ Session::precheck(const SpaddRequest& req) const
     return Status();
 }
 
-std::future<Result<std::vector<Value>>>
-Session::submit(SpmvRequest req)
+template <typename Work, typename Req, typename Payload>
+void
+Session::submitWork(Req& req, std::string& matrix, OpClass op,
+                    Payload& payload, decltype(Work::done) done)
 {
     const auto now = Request::Clock::now();
     const auto expiry = expiryOf(now, req.options);
-    if (Status s = precheck(req); !s.ok())
-        return readyFuture<std::vector<Value>>(std::move(s));
-    if (Status s = shedCheck(req.options); !s.ok())
-        return readyFuture<std::vector<Value>>(std::move(s));
-    Admitted admitted = admit(req.matrix, req.options, expiry);
-    if (!admitted.ticket)
-        return readyFuture<std::vector<Value>>(
-            std::move(admitted.status));
-    SpmvWork work{std::move(req.x), {}};
-    std::future<Result<std::vector<Value>>> future =
-        work.done.result.get_future();
-    launch(QueueKey{std::move(req.matrix), OpClass::kSpmv},
-           req.options, now, expiry, std::move(admitted.ticket),
-           std::move(work));
+    if (Status s = precheck(req); !s.ok()) {
+        done.resolve(std::move(s));
+        return;
+    }
+    if (Status s = shedCheck(req.options); !s.ok()) {
+        done.resolve(std::move(s));
+        return;
+    }
+    Admitted admitted = admit(matrix, req.options, expiry);
+    if (!admitted.ticket) {
+        done.resolve(std::move(admitted.status));
+        return;
+    }
+    launch(QueueKey{std::move(matrix), op}, req.options, now, expiry,
+           std::move(admitted.ticket),
+           Work{std::move(payload), std::move(done)});
+}
+
+std::future<Result<std::vector<Value>>>
+Session::submit(SpmvRequest req)
+{
+    Completion<std::vector<Value>> done;
+    auto future = done.result.get_future();
+    submitWork<SpmvWork>(req, req.matrix, OpClass::kSpmv, req.x,
+                         std::move(done));
     return future;
 }
 
 void
 Session::submit(SpmvRequest req, SpmvCallback done)
 {
-    const auto now = Request::Clock::now();
-    const auto expiry = expiryOf(now, req.options);
-    if (Status s = precheck(req); !s.ok()) {
-        done(Result<std::vector<Value>>(std::move(s)));
-        return;
-    }
-    if (Status s = shedCheck(req.options); !s.ok()) {
-        done(Result<std::vector<Value>>(std::move(s)));
-        return;
-    }
-    Admitted admitted = admit(req.matrix, req.options, expiry);
-    if (!admitted.ticket) {
-        done(Result<std::vector<Value>>(std::move(admitted.status)));
-        return;
-    }
-    SpmvWork work{std::move(req.x), {}};
-    work.done.onComplete = std::move(done);
-    launch(QueueKey{std::move(req.matrix), OpClass::kSpmv},
-           req.options, now, expiry, std::move(admitted.ticket),
-           std::move(work));
+    submitWork<SpmvWork>(req, req.matrix, OpClass::kSpmv, req.x,
+                         {{}, std::move(done)});
 }
 
 std::future<Result<fmt::DenseMatrix>>
 Session::submit(SpmmRequest req)
 {
-    const auto now = Request::Clock::now();
-    const auto expiry = expiryOf(now, req.options);
-    if (Status s = precheck(req); !s.ok())
-        return readyFuture<fmt::DenseMatrix>(std::move(s));
-    if (Status s = shedCheck(req.options); !s.ok())
-        return readyFuture<fmt::DenseMatrix>(std::move(s));
-    Admitted admitted = admit(req.matrix, req.options, expiry);
-    if (!admitted.ticket)
-        return readyFuture<fmt::DenseMatrix>(
-            std::move(admitted.status));
-    SpmmWork work{std::move(req.b), {}};
-    std::future<Result<fmt::DenseMatrix>> future =
-        work.done.result.get_future();
-    launch(QueueKey{std::move(req.matrix), OpClass::kSpmm},
-           req.options, now, expiry, std::move(admitted.ticket),
-           std::move(work));
+    Completion<fmt::DenseMatrix> done;
+    auto future = done.result.get_future();
+    submitWork<SpmmWork>(req, req.matrix, OpClass::kSpmm, req.b,
+                         std::move(done));
     return future;
 }
 
 void
 Session::submit(SpmmRequest req, SpmmCallback done)
 {
-    const auto now = Request::Clock::now();
-    const auto expiry = expiryOf(now, req.options);
-    if (Status s = precheck(req); !s.ok()) {
-        done(Result<fmt::DenseMatrix>(std::move(s)));
-        return;
-    }
-    if (Status s = shedCheck(req.options); !s.ok()) {
-        done(Result<fmt::DenseMatrix>(std::move(s)));
-        return;
-    }
-    Admitted admitted = admit(req.matrix, req.options, expiry);
-    if (!admitted.ticket) {
-        done(Result<fmt::DenseMatrix>(std::move(admitted.status)));
-        return;
-    }
-    SpmmWork work{std::move(req.b), {}};
-    work.done.onComplete = std::move(done);
-    launch(QueueKey{std::move(req.matrix), OpClass::kSpmm},
-           req.options, now, expiry, std::move(admitted.ticket),
-           std::move(work));
+    submitWork<SpmmWork>(req, req.matrix, OpClass::kSpmm, req.b,
+                         {{}, std::move(done)});
 }
 
 std::future<Result<fmt::CooMatrix>>
 Session::submit(SpaddRequest req)
 {
-    const auto now = Request::Clock::now();
-    const auto expiry = expiryOf(now, req.options);
-    if (Status s = precheck(req); !s.ok())
-        return readyFuture<fmt::CooMatrix>(std::move(s));
-    if (Status s = shedCheck(req.options); !s.ok())
-        return readyFuture<fmt::CooMatrix>(std::move(s));
-    Admitted admitted = admit(req.a, req.options, expiry);
-    if (!admitted.ticket)
-        return readyFuture<fmt::CooMatrix>(std::move(admitted.status));
-    SpaddWork work{std::move(req.b), {}};
-    std::future<Result<fmt::CooMatrix>> future =
-        work.done.result.get_future();
-    launch(QueueKey{std::move(req.a), OpClass::kSpadd}, req.options,
-           now, expiry, std::move(admitted.ticket), std::move(work));
+    Completion<fmt::CooMatrix> done;
+    auto future = done.result.get_future();
+    submitWork<SpaddWork>(req, req.a, OpClass::kSpadd, req.b,
+                          std::move(done));
     return future;
 }
 
 void
 Session::submit(SpaddRequest req, SpaddCallback done)
 {
-    const auto now = Request::Clock::now();
-    const auto expiry = expiryOf(now, req.options);
-    if (Status s = precheck(req); !s.ok()) {
-        done(Result<fmt::CooMatrix>(std::move(s)));
-        return;
-    }
-    if (Status s = shedCheck(req.options); !s.ok()) {
-        done(Result<fmt::CooMatrix>(std::move(s)));
-        return;
-    }
-    Admitted admitted = admit(req.a, req.options, expiry);
-    if (!admitted.ticket) {
-        done(Result<fmt::CooMatrix>(std::move(admitted.status)));
-        return;
-    }
-    SpaddWork work{std::move(req.b), {}};
-    work.done.onComplete = std::move(done);
-    launch(QueueKey{std::move(req.a), OpClass::kSpadd}, req.options,
-           now, expiry, std::move(admitted.ticket), std::move(work));
+    submitWork<SpaddWork>(req, req.a, OpClass::kSpadd, req.b,
+                          {{}, std::move(done)});
 }
 
 void

@@ -230,6 +230,15 @@ class Session
                 Request::Clock::time_point now,
                 Request::Clock::time_point expiry,
                 std::shared_ptr<void> ticket, Work work);
+    /**
+     * The one body behind every submit overload: precheck, shed,
+     * admit, then launch a Work built from @p payload and @p done.
+     * A refusal resolves @p done inline. @p matrix is the queue
+     * key's matrix (req.matrix, or req.a for SpAdd).
+     */
+    template <typename Work, typename Req, typename Payload>
+    void submitWork(Req& req, std::string& matrix, OpClass op,
+                    Payload& payload, decltype(Work::done) done);
 
     MatrixRegistry& registry_;
     const SessionOptions options_;

@@ -30,6 +30,15 @@ key(Index r, Index c, Index cols)
         static_cast<std::uint64_t>(cols) + static_cast<std::uint64_t>(c);
 }
 
+/** Non-zeros genWithLocality places in each chosen block. */
+Index
+perBlockFill(Index block, double locality)
+{
+    return std::max<Index>(
+        1, static_cast<Index>(
+               std::llround(locality * static_cast<double>(block))));
+}
+
 } // namespace
 
 fmt::CooMatrix
@@ -208,6 +217,15 @@ genPowerLaw(Index rows, Index cols, Index nnz, double alpha,
     return coo;
 }
 
+bool
+localityFits(Index rows, Index cols, Index nnz, Index block,
+             double locality)
+{
+    const Index per_block = perBlockFill(block, locality);
+    const Index n_blocks = (nnz + per_block - 1) / per_block;
+    return n_blocks <= rows * (cols / block);
+}
+
 fmt::CooMatrix
 genWithLocality(Index rows, Index cols, Index nnz, Index block,
                 double locality, std::uint64_t seed)
@@ -216,14 +234,11 @@ genWithLocality(Index rows, Index cols, Index nnz, Index block,
     SMASH_CHECK(locality > 0.0 && locality <= 1.0,
                 "locality must be in (0, 1]");
     Rng rng(seed);
-    const Index per_block = std::max<Index>(
-        1, static_cast<Index>(
-            std::llround(locality * static_cast<double>(block))));
+    const Index per_block = perBlockFill(block, locality);
     const Index blocks_per_row = cols / block;
     SMASH_CHECK(blocks_per_row > 0, "cols smaller than one block");
-    const Index n_blocks =
-        (nnz + per_block - 1) / per_block;
-    SMASH_CHECK(n_blocks <= rows * blocks_per_row,
+    const Index n_blocks = (nnz + per_block - 1) / per_block;
+    SMASH_CHECK(localityFits(rows, cols, nnz, block, locality),
                 "nnz/locality exceeds the block grid");
 
     // Choose distinct aligned blocks.

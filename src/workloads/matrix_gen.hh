@@ -69,6 +69,16 @@ fmt::CooMatrix genWithLocality(Index rows, Index cols, Index nnz,
                                std::uint64_t seed);
 
 /**
+ * Whether genWithLocality() can place @p nnz non-zeros at
+ * @p locality: its ceil(nnz / round(locality * block)) blocks must
+ * fit in the rows x (cols / block) grid. Scaled-down benches lose
+ * the lowest-locality points this way (nnz shrinks slower than the
+ * grid).
+ */
+bool localityFits(Index rows, Index cols, Index nnz, Index block,
+                  double locality);
+
+/**
  * 5-point finite-difference Laplacian on an nx x ny grid: the
  * canonical symmetric positive-definite test system for the §5.2.1
  * solver use cases (diagonal 4, neighbours -1, natural row-major

@@ -19,6 +19,7 @@
 #include <new>
 #include <vector>
 
+#include "common/cpu_features.hh"
 #include "common/parallel_exec.hh"
 #include "engine/dispatch.hh"
 #include "formats/csr_matrix.hh"
@@ -295,10 +296,12 @@ TEST(AllocationFree, ColdCallsDoAllocate)
 
 TEST(SmashWordWalk, ZeroColumnMatrixIsANoOp)
 {
-    // Regression: the amortized row tracking divides by
-    // bits_per_row up front; a legal zero-column matrix has
+    // Regression: the word walks' amortized row tracking divides
+    // by bits_per_row; a legal zero-column matrix has
     // bits_per_row == 0 and must return cleanly (it used to be a
-    // no-op, and briefly a SIGFPE).
+    // no-op, and briefly a SIGFPE). Driven through the kern::
+    // template and through the engine's simd:: walks at every ISA
+    // level, serial, parallel and batched.
     fmt::CooMatrix coo(4, 0);
     core::SmashMatrix m = core::SmashMatrix::fromCoo(
         coo, core::HierarchyConfig::fromPaperNotation({16, 4, 2}));
@@ -308,6 +311,29 @@ TEST(SmashWordWalk, ZeroColumnMatrixIsANoOp)
     kern::spmvSmashSw(m, x, y, ne);
     for (Value v : y)
         EXPECT_EQ(v, Value(7));
+
+    const eng::SparseMatrixAny any(m);
+    exec::ParallelExec pe(2);
+    const simd::IsaLevel saved = simd::activeIsaLevel();
+    for (simd::IsaLevel level :
+         {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
+          simd::IsaLevel::kAvx512}) {
+        if (!simd::setIsaLevel(level))
+            continue;
+        SCOPED_TRACE(simd::toString(level));
+        std::vector<Value> ys(4, Value(7)), yp(4, Value(7));
+        eng::spmv(any.ref(), x, ys, ne);
+        eng::spmv(any.ref(), x, yp, pe);
+        EXPECT_EQ(ys, y);
+        EXPECT_EQ(yp, y);
+        fmt::DenseMatrix xb(any.ref().xLength(), 3);
+        fmt::DenseMatrix yb(4, 3);
+        yb.data().assign(12, Value(7));
+        eng::spmvBatch(any.ref(), xb, yb, ne);
+        for (Value v : yb.data())
+            EXPECT_EQ(v, Value(7));
+    }
+    simd::setIsaLevel(saved);
 }
 
 TEST(StickyChunks, ParallelResultsBitMatchSerial)

@@ -241,7 +241,8 @@ TEST(BitIdentity, CsrSpmvAcrossLevels)
 TEST(BitIdentity, CsrSpmvBatchAcrossLevels)
 {
     const fmt::CsrMatrix m = fmt::CsrMatrix::fromCoo(csrTestMatrix());
-    // Straddle the stack-accumulator boundary (kBatchAccumWidth).
+    // Straddle the variants' stack-accumulator boundary
+    // (detail::kBatchAccumWidth = 64, simd_internal.hh).
     for (Index nrhs : {Index(3), Index(96)}) {
         const std::vector<Value> flat =
             pseudoX(m.cols() * nrhs, 59 + static_cast<std::uint64_t>(nrhs));

@@ -111,6 +111,16 @@ TEST(MatrixGen, LocalityRejectsBadArgs)
     EXPECT_THROW(genWithLocality(16, 4, 50, 8, 0.5, 1), FatalError);
 }
 
+TEST(MatrixGen, LocalityFitsAgreesWithGenerator)
+{
+    // 16 x 16 with 8-wide blocks is a 32-block grid: 50 non-zeros
+    // need 25 blocks at 25% locality but 50 at 12.5%.
+    EXPECT_TRUE(localityFits(16, 16, 50, 8, 0.25));
+    EXPECT_NO_THROW(genWithLocality(16, 16, 50, 8, 0.25, 1));
+    EXPECT_FALSE(localityFits(16, 16, 50, 8, 0.125));
+    EXPECT_THROW(genWithLocality(16, 16, 50, 8, 0.125, 1), FatalError);
+}
+
 TEST(MatrixSuite, HasFifteenEntriesMatchingTable3)
 {
     auto specs = table3Specs();
