@@ -62,10 +62,12 @@ main()
     std::cout << "registered 'ranker' as " << eng::toString(chosen)
               << "\n";
 
-    // 2. Serve two waves of mixed-priority SpMV traffic: kHigh
-    //    flushes immediately (batcher reason "priority"), the rest
-    //    coalesce until the batch fills ("size") or the flush timer
-    //    fires ("deadline") — all of which the metrics count.
+    // 2. Serve mixed-priority SpMV traffic: kHigh flushes
+    //    immediately (batcher reason "priority"), kNormal goes
+    //    straight to a free compute slot ("idle"), and work that
+    //    finds every slot busy coalesces until the batch fills
+    //    ("size") or the flush timer fires ("deadline") — all of
+    //    which the metrics count.
     serve::SessionOptions options;
     options.threads = 4;
     options.maxBatch = 8;

@@ -221,6 +221,11 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
     const fmt::CsrIndex* row_ptr = a.rowPtr().data();
     const fmt::CsrIndex* cols = a.colInd().data();
     const Value* vals = a.values().data();
+    // Raw row-major walks: X and Y both carry nrhs columns
+    // (batchWidth checked), so row r starts at r * nrhs.
+    const Value* xp = x.data().data();
+    Value* yp = y.data().data();
+    const auto ld = static_cast<std::size_t>(nrhs);
     const std::size_t prefetch_below =
         detail::wantXPrefetch(
             static_cast<std::size_t>(a.cols() * nrhs) * sizeof(Value))
@@ -230,7 +235,7 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
         alignas(32) Value acc[detail::kBatchAccumWidth];
         for (Index i = row_begin; i < row_end; ++i) {
             auto si = static_cast<std::size_t>(i);
-            Value* yr = &y.at(i, 0);
+            Value* yr = yp + si * ld;
             for (Index r = 0; r < nrhs; ++r)
                 acc[r] = yr[r];
             for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1];
@@ -239,10 +244,9 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
                 const std::size_t ahead = sj + detail::kXPrefetchDistance;
                 if (ahead < prefetch_below)
                     detail::prefetchRead(
-                        x.rowData(static_cast<Index>(cols[ahead])));
+                        xp + static_cast<std::size_t>(cols[ahead]) * ld);
                 const __m256d v = _mm256_set1_pd(vals[sj]);
-                const Value* xr =
-                    x.rowData(static_cast<Index>(cols[sj]));
+                const Value* xr = xp + static_cast<std::size_t>(cols[sj]) * ld;
                 // RHS lanes are independent accumulation chains:
                 // any vector grouping over r is bit-identical.
                 Index r = 0;
@@ -263,16 +267,16 @@ csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
     }
     for (Index i = row_begin; i < row_end; ++i) {
         auto si = static_cast<std::size_t>(i);
-        Value* yr = &y.at(i, 0);
+        Value* yr = yp + si * ld;
         for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1]; ++j) {
             auto sj = static_cast<std::size_t>(j);
             const std::size_t ahead = sj + detail::kXPrefetchDistance;
             if (ahead < prefetch_below)
                 detail::prefetchRead(
-                    x.rowData(static_cast<Index>(cols[ahead])));
+                    xp + static_cast<std::size_t>(cols[ahead]) * ld);
             const Value vs = vals[sj];
             const __m256d v = _mm256_set1_pd(vs);
-            const Value* xr = x.rowData(static_cast<Index>(cols[sj]));
+            const Value* xr = xp + static_cast<std::size_t>(cols[sj]) * ld;
             Index r = 0;
             for (; r + 4 <= nrhs; r += 4)
                 _mm256_storeu_pd(
@@ -392,6 +396,8 @@ smashSpmvBatchWordsAvx2(const core::SmashMatrix& a,
     const core::Bitmap& level0 = a.hierarchy().level(0);
     const Index padded_cols = a.paddedCols();
     const Value* nza = a.nza().data();
+    const Value* xp = x.data().data();
+    const auto ldx = static_cast<std::size_t>(x.cols());
     Index block = nza_block;
     for (Index w = word_begin; w < word_end; ++w) {
         BitWord word = level0.word(w);
@@ -405,13 +411,14 @@ smashSpmvBatchWordsAvx2(const core::SmashMatrix& a,
             const Value* blk =
                 nza + static_cast<std::size_t>(block * bs);
             Value* yr = y + static_cast<std::size_t>(row * nrhs);
+            const Value* xb = xp + static_cast<std::size_t>(col0) * ldx;
             for (Index k = 0; k < bs; ++k) {
                 const Value vs = blk[k];
                 // Keep the explicit-zero skip: same geometric test
                 // in every variant.
                 if (vs == Value(0))
                     continue;
-                const Value* xr = x.rowData(col0 + k);
+                const Value* xr = xb + static_cast<std::size_t>(k) * ldx;
                 const __m256d v = _mm256_set1_pd(vs);
                 Index r = 0;
                 for (; r + 4 <= nrhs; r += 4)

@@ -178,6 +178,19 @@ TraceCollector::clear()
         ring->head.store(0, std::memory_order_release);
 }
 
+const char*
+flushReasonName(std::uint32_t reason)
+{
+    switch (static_cast<FlushReason>(reason)) {
+      case FlushReason::kSize: return "size";
+      case FlushReason::kDeadline: return "deadline";
+      case FlushReason::kPriority: return "priority";
+      case FlushReason::kManual: return "manual";
+      case FlushReason::kIdle: return "idle";
+    }
+    return "unknown";
+}
+
 namespace
 {
 
@@ -213,18 +226,6 @@ kindInfo(std::uint16_t kind)
       case EventKind::kShardReencode: return {"reencode", "shard"};
     }
     return {"unknown", "unknown"};
-}
-
-const char*
-flushReasonName(std::uint32_t reason)
-{
-    switch (static_cast<FlushReason>(reason)) {
-      case FlushReason::kSize: return "size";
-      case FlushReason::kDeadline: return "deadline";
-      case FlushReason::kPriority: return "priority";
-      case FlushReason::kManual: return "manual";
-    }
-    return "unknown";
 }
 
 const char*

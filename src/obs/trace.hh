@@ -35,6 +35,7 @@
 #define SMASH_OBS_TRACE_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -80,7 +81,18 @@ enum class FlushReason : std::uint32_t
     kDeadline = 1,
     kPriority = 2,
     kManual = 3,
+    kIdle = 4, //!< a compute slot was free (work-conserving flush)
 };
+
+/** Number of FlushReason values (sizes per-reason tables). */
+inline constexpr std::size_t kNumFlushReasons = 5;
+static_assert(static_cast<std::size_t>(FlushReason::kIdle) + 1 ==
+                  kNumFlushReasons,
+              "kNumFlushReasons must follow the last FlushReason");
+
+/** Label of one FlushReason ("size", ..., "idle"; "unknown" when
+ *  out of range) — the trace args and the metrics reason label. */
+const char* flushReasonName(std::uint32_t reason);
 
 /** Dispatch path shapes (kDispatch a2). */
 enum class DispatchPath : std::uint32_t

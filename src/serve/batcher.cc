@@ -1,10 +1,11 @@
 #include "serve/batcher.hh"
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
-#include "obs/trace.hh"
 
 namespace smash::serve
 {
@@ -12,21 +13,22 @@ namespace smash::serve
 namespace
 {
 
-/** Registry reason label of one FlushReason (obs::FlushReason). */
+/** Registry series of one FlushReason, labelled by its name. */
 obs::Counter&
-globalFlushCounter(int reason)
+globalFlushCounter(obs::FlushReason reason)
 {
-    static obs::Counter* by_reason[4] = {
-        &obs::MetricsRegistry::global().counter(
-            "smash_batcher_flushes_total{reason=\"size\"}"),
-        &obs::MetricsRegistry::global().counter(
-            "smash_batcher_flushes_total{reason=\"deadline\"}"),
-        &obs::MetricsRegistry::global().counter(
-            "smash_batcher_flushes_total{reason=\"priority\"}"),
-        &obs::MetricsRegistry::global().counter(
-            "smash_batcher_flushes_total{reason=\"manual\"}"),
-    };
-    return *by_reason[static_cast<std::size_t>(reason) % 4];
+    static const auto by_reason = [] {
+        std::array<obs::Counter*, obs::kNumFlushReasons> table{};
+        for (std::size_t i = 0; i < table.size(); ++i)
+            table[i] = &obs::MetricsRegistry::global().counter(
+                std::string("smash_batcher_flushes_total{reason=\"") +
+                obs::flushReasonName(static_cast<std::uint32_t>(i)) +
+                "\"}");
+        return table;
+    }();
+    const auto i = static_cast<std::size_t>(reason);
+    SMASH_CHECK(i < by_reason.size(), "unknown flush reason ", i);
+    return *by_reason[i];
 }
 
 /** Best (numerically lowest) priority present in a batch. */
@@ -42,14 +44,17 @@ topPriority(const std::vector<Request>& batch)
 } // namespace
 
 Batcher::Batcher(Index max_batch, std::chrono::microseconds max_delay,
-                 std::chrono::microseconds batch_delay, FlushFn flush)
+                 std::chrono::microseconds batch_delay, FlushFn flush,
+                 int compute_slots)
     : max_batch_(max_batch), max_delay_(max_delay),
-      batch_delay_(batch_delay), flush_(std::move(flush))
+      batch_delay_(batch_delay), flush_(std::move(flush)),
+      slots_(static_cast<std::uint64_t>(compute_slots))
 {
     // Validate before the timer thread exists: a throw with a
     // joinable thread member would std::terminate during unwinding.
     SMASH_CHECK(max_batch_ >= 1, "batch size must be positive");
     SMASH_CHECK(flush_ != nullptr, "batcher needs a flush callback");
+    SMASH_CHECK(compute_slots >= 0, "compute slots must be non-negative");
     timer_ = std::thread([this] { timerLoop(); });
 }
 
@@ -86,18 +91,26 @@ Batcher::flushBy(const Request& request) const
 }
 
 void
-Batcher::noteFlush(obs::Counter& local, std::size_t batch_size,
-                   int reason)
+Batcher::handOff(const QueueKey& key, std::vector<Request> batch,
+                 obs::FlushReason reason)
 {
-    local.inc();
+    flushes_[static_cast<std::size_t>(reason)].inc();
     globalFlushCounter(reason).inc();
     static obs::Histogram& width =
         obs::MetricsRegistry::global().histogram(
             "smash_batcher_flush_width");
-    width.record(batch_size);
+    width.record(batch.size());
     SMASH_TRACE_EVENT(obs::EventKind::kBatchFlush,
                       static_cast<std::uint32_t>(reason),
-                      static_cast<std::uint32_t>(batch_size));
+                      static_cast<std::uint32_t>(batch.size()));
+    try {
+        flush_(key, std::move(batch));
+    } catch (...) {
+        // The batch never reached compute: no computeEnded() comes.
+        std::lock_guard<std::mutex> lock(mutex_);
+        --busy_;
+        throw;
+    }
 }
 
 void
@@ -112,34 +125,65 @@ Batcher::enqueue(const QueueKey& key, Request request)
                       static_cast<std::uint32_t>(key.op),
                       static_cast<std::uint32_t>(priority));
     std::vector<Request> batch;
+    obs::FlushReason reason = obs::FlushReason::kSize;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Queue& q = queues_[key];
-        if (q.pending.empty())
+        if (q.pending.empty()) {
             q.due = Clock::time_point::max();
+            q.normal = false;
+        }
         const Clock::time_point cap = flushBy(request);
         const bool tightened = cap < q.due;
         q.due = std::min(q.due, cap);
+        q.normal = q.normal || priority == Priority::kNormal;
         q.pending.push_back(std::move(request));
-        const bool full =
-            static_cast<Index>(q.pending.size()) >= max_batch_;
-        if (!full && priority != Priority::kHigh) {
-            if (tightened)
-                cv_.notify_all(); // timer re-evaluates its target
-            return;
+        if (static_cast<Index>(q.pending.size()) < max_batch_) {
+            if (priority == Priority::kHigh) {
+                reason = obs::FlushReason::kPriority;
+            } else if (priority == Priority::kNormal && busy_ < slots_) {
+                reason = obs::FlushReason::kIdle;
+            } else {
+                if (tightened)
+                    cv_.notify_all(); // timer re-evaluates its target
+                return;
+            }
         }
         batch.swap(q.pending);
+        ++busy_;
     }
-    if (static_cast<Index>(batch.size()) >= max_batch_)
-        noteFlush(size_flushes_, batch.size(),
-                  static_cast<int>(obs::FlushReason::kSize));
-    else
-        noteFlush(priority_flushes_, batch.size(),
-                  static_cast<int>(obs::FlushReason::kPriority));
-    // Full batch or a kHigh arrival: flush inline on the enqueuing
-    // thread, outside the lock (the callback may enqueue pool work
-    // or run compute).
-    flush_(key, std::move(batch));
+    // Flush inline on the enqueuing thread, outside the lock (the
+    // callback may enqueue pool work or run compute).
+    handOff(key, std::move(batch), reason);
+}
+
+void
+Batcher::computeEnded()
+{
+    std::vector<std::pair<QueueKey, std::vector<Request>>> due;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        SMASH_CHECK(busy_ > 0, "computeEnded() without a flushed batch");
+        --busy_;
+        // Hand each free slot to the held kNormal queue whose cap
+        // is nearest, so held work waits for a worker, not a clock.
+        while (busy_ < slots_) {
+            auto pick = queues_.end();
+            for (auto it = queues_.begin(); it != queues_.end(); ++it) {
+                const Queue& q = it->second;
+                if (!q.pending.empty() && q.normal &&
+                    (pick == queues_.end() || q.due < pick->second.due))
+                    pick = it;
+            }
+            if (pick == queues_.end())
+                break;
+            due.emplace_back(pick->first, std::move(pick->second.pending));
+            pick->second.pending.clear();
+            ++busy_;
+        }
+    }
+    for (auto& [key, batch] : due)
+        handOff(key, std::move(batch), obs::FlushReason::kIdle);
 }
 
 void
@@ -154,6 +198,7 @@ Batcher::flushAll()
             due.emplace_back(key, std::move(q.pending));
             q.pending.clear();
         }
+        busy_ += due.size();
     }
     // Priority-aware ordering: queues holding high-priority work
     // reach the pipeline first.
@@ -162,11 +207,8 @@ Batcher::flushAll()
                          return topPriority(a.second) <
                              topPriority(b.second);
                      });
-    for (auto& [key, batch] : due) {
-        noteFlush(manual_flushes_, batch.size(),
-                  static_cast<int>(obs::FlushReason::kManual));
-        flush_(key, std::move(batch));
-    }
+    for (auto& [key, batch] : due)
+        handOff(key, std::move(batch), obs::FlushReason::kManual);
 }
 
 void
@@ -202,17 +244,15 @@ Batcher::timerLoop()
                 q.pending.clear();
             }
         }
+        busy_ += due.size();
         std::stable_sort(due.begin(), due.end(),
                          [](const auto& a, const auto& b) {
                              return topPriority(a.second) <
                                  topPriority(b.second);
                          });
         lock.unlock();
-        for (auto& [key, batch] : due) {
-            noteFlush(deadline_flushes_, batch.size(),
-                      static_cast<int>(obs::FlushReason::kDeadline));
-            flush_(key, std::move(batch));
-        }
+        for (auto& [key, batch] : due)
+            handOff(key, std::move(batch), obs::FlushReason::kDeadline);
         lock.lock();
     }
 }

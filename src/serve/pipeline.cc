@@ -187,10 +187,9 @@ Pipeline::postReencode(const std::string& matrix)
 }
 
 void
-Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch)
+Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch,
+                      Batcher& batcher)
 {
-    if (batch.empty())
-        return;
     // The batch-wait stage ends here, when the flush hands the
     // batch to the compute stage (not when the task gets a worker —
     // queueing for a worker is part of the compute stage's cost).
@@ -199,7 +198,13 @@ Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch)
         r.flushed = now;
     auto shared =
         std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_.post([this, key, shared] {
+    {
+        // The task counts as in flight until its computeEnded()
+        // returns: drain() must not let the batcher die under it.
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++inflight_;
+    }
+    pool_.post([this, key, shared, &batcher] {
         try {
             computeBatch(key, *shared);
         } catch (const std::exception& ex) {
@@ -209,6 +214,15 @@ Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch)
             failRemaining(*shared, Status(StatusCode::kInternal,
                                           "unknown compute failure"));
         }
+        // The compute slot frees as the task ends; held kNormal
+        // work flushes into it now instead of waiting out its cap.
+        try {
+            batcher.computeEnded();
+        } catch (...) {
+            leave(1);
+            throw;
+        }
+        leave(1);
     });
 }
 
@@ -567,6 +581,12 @@ Pipeline::finish(std::uint64_t n, bool ok)
     (ok ? completed : failed).add(n);
     if (!ok)
         stats_.failed.fetch_add(n, std::memory_order_relaxed);
+    leave(n);
+}
+
+void
+Pipeline::leave(std::uint64_t n)
+{
     std::lock_guard<std::mutex> lock(mutex_);
     SMASH_CHECK(inflight_ >= n, "pipeline accounting underflow");
     inflight_ -= n;

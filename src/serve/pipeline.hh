@@ -166,8 +166,15 @@ class Pipeline
     void postPrepare(const QueueKey& key, Request request,
                      Batcher& batcher);
 
-    /** Stage 2 entry: post the compute task for a flushed batch. */
-    void postCompute(const QueueKey& key, std::vector<Request> batch);
+    /**
+     * Stage 2 entry: post the compute task for a flushed batch. The
+     * task ends by reporting batcher.computeEnded() — whether the
+     * kernel returned, every request expired, or it threw — and
+     * drain() waits for that report too, so @p batcher must stay
+     * alive until drain() returns.
+     */
+    void postCompute(const QueueKey& key, std::vector<Request> batch,
+                     Batcher& batcher);
 
     /**
      * Maintenance entry: run the registry's pending re-encode for
@@ -180,7 +187,8 @@ class Pipeline
 
     /**
      * Block until every submitted request has been delivered or
-     * failed. Requests still parked in a batcher count as in-flight;
+     * failed and every compute task has reported its end to its
+     * batcher. Requests still parked in a batcher count as in-flight;
      * its deadline timer (or flushAll()) releases them. Callers that
      * own the batcher (Session::drain) use drainWait() and flush on
      * every progress event, so draining neither sits out a long
@@ -226,6 +234,8 @@ class Pipeline
     void failOne(Request& request, const Status& status);
     /** Mark @p n requests left the pipeline (delivered or failed). */
     void finish(std::uint64_t n, bool ok);
+    /** Drop @p n from the in-flight count; wake drains at zero. */
+    void leave(std::uint64_t n);
 
     MatrixRegistry& registry_;
     exec::ThreadPool& pool_;
@@ -244,6 +254,8 @@ class Pipeline
 
     std::mutex mutex_;
     std::condition_variable idle_;
+    /** Requests not yet delivered or failed, plus compute tasks not
+     *  yet past their computeEnded() report. */
     std::uint64_t inflight_ = 0;
     /** Monotonic count of requests handed to a batcher. Atomic
      *  (seq_cst) so the hot path bumps it without mutex_; drainWait

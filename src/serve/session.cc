@@ -39,8 +39,13 @@ Session::Session(MatrixRegistry& registry, const SessionOptions& options)
       batcher_(options.maxBatch, options.maxDelay,
                resolveBatchDelay(options),
                [this](const QueueKey& key, std::vector<Request> batch) {
-                   pipeline_.postCompute(key, std::move(batch));
-               })
+                   pipeline_.postCompute(key, std::move(batch),
+                                         batcher_);
+               },
+               // One parallel batch spans the whole pool; serial
+               // batches each take one worker.
+               options.compute == ComputeExec::kParallel ? 1
+                                                         : pool_.size())
 {
     SMASH_CHECK(options_.maxInflight >= 0 &&
                     options_.maxInflightPerMatrix >= 0,

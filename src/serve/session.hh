@@ -25,8 +25,11 @@
  * delivery. At capacity, a request's RequestOptions decide —
  * kFailFast resolves to kOverloaded immediately; kBlock waits for
  * a slot (bounded by the request's deadline). Priorities shape the
- * batcher's flush order: kHigh flushes its queue now, kNormal
- * within maxDelay, kBatch within batchDelay.
+ * batcher's flush order: kHigh flushes its queue now; kNormal
+ * flushes at once while a compute slot is free (threads under
+ * ComputeExec::kSerial, 1 under kParallel) and otherwise when one
+ * frees — maxDelay is a cap that binds only while every slot is
+ * busy, not a wait; kBatch waits for company within batchDelay.
  *
  * Sessions are thread-safe: any number of client threads may
  * submit() concurrently, and several Sessions may share one
@@ -79,7 +82,7 @@ struct SessionOptions
 {
     int threads = 4;     //!< pool workers running the stages
     Index maxBatch = 16; //!< coalesce up to this many requests
-    std::chrono::microseconds maxDelay{200}; //!< kNormal flush cap
+    std::chrono::microseconds maxDelay{200}; //!< kNormal cap (all slots busy)
     /** kBatch flush cap; zero means 8 x maxDelay, and a value
      *  below maxDelay is raised to it. */
     std::chrono::microseconds batchDelay{0};

@@ -6,7 +6,8 @@
  * drivers, thread-pool shutdown semantics, the matrix registry's
  * conversion caching — and the typed serve::Result surface: status
  * codes instead of exceptions, per-(matrix, op) batching with
- * priority-aware flush ordering, admission control (kOverloaded
+ * priority-aware flush ordering and work-conserving (idle) flushes
+ * into free compute slots, admission control (kOverloaded
  * fail-fast, kBlock eventual completion), deadlines, and the
  * per-priority latency accounting.
  *
@@ -30,6 +31,7 @@
 #include "engine/dispatch.hh"
 #include "formats/convert.hh"
 #include "kernels/reference.hh"
+#include "obs/metrics.hh"
 #include "serve/session.hh"
 #include "workloads/matrix_gen.hh"
 
@@ -558,6 +560,139 @@ TEST(Batcher, FlushAllOrdersQueuesByPriority)
     EXPECT_EQ(order[1], "bulk");
 }
 
+/** Batch sizes a test batcher flushed, in order. */
+struct FlushLog
+{
+    std::mutex mu;
+    std::vector<std::size_t> sizes;
+
+    serve::Batcher::FlushFn
+    fn()
+    {
+        return [this](const serve::QueueKey&,
+                      std::vector<serve::Request> batch) {
+            std::lock_guard<std::mutex> lock(mu);
+            sizes.push_back(batch.size());
+        };
+    }
+
+    std::vector<std::size_t>
+    snapshot()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return sizes;
+    }
+};
+
+TEST(Batcher, FreeSlotFlushesNormalInlineAsIdle)
+{
+    const auto idle_before = obs::MetricsRegistry::global().counterValue(
+        "smash_batcher_flushes_total{reason=\"idle\"}");
+    FlushLog log;
+    serve::Batcher batcher(64, std::chrono::seconds(10),
+                           std::chrono::seconds(10), log.fn(),
+                           /*compute_slots=*/2);
+    EXPECT_EQ(batcher.computeSlots(), 2);
+    // Both slots free: each kNormal arrival leaves at once, alone,
+    // on the enqueuing thread — no waiting out the 10 s cap.
+    batcher.enqueue(spmvKey("a"), plainRequest());
+    batcher.enqueue(spmvKey("a"), plainRequest());
+    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 1}));
+    EXPECT_EQ(batcher.idleFlushes(), 2u);
+    EXPECT_EQ(batcher.deadlineFlushes(), 0u);
+    EXPECT_EQ(batcher.sizeFlushes(), 0u);
+    EXPECT_EQ(obs::MetricsRegistry::global().counterValue(
+                  "smash_batcher_flushes_total{reason=\"idle\"}"),
+              idle_before + 2);
+    batcher.computeEnded();
+    batcher.computeEnded();
+}
+
+TEST(Batcher, AllSlotsBusyWaitsForSizeOrDeadline)
+{
+    {
+        FlushLog log;
+        serve::Batcher batcher(2, std::chrono::seconds(10),
+                               std::chrono::seconds(10), log.fn(),
+                               /*compute_slots=*/1);
+        batcher.enqueue(spmvKey("m"), plainRequest()); // takes the slot
+        batcher.enqueue(spmvKey("m"), plainRequest()); // held
+        EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1}));
+        batcher.enqueue(spmvKey("m"), plainRequest()); // fills maxBatch
+        EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 2}));
+        EXPECT_EQ(batcher.idleFlushes(), 1u);
+        EXPECT_EQ(batcher.sizeFlushes(), 1u);
+    }
+    {
+        // The cap still binds while every slot is busy: the held
+        // request leaves by deadline, never by the (absent) end of
+        // compute.
+        FlushLog log;
+        serve::Batcher batcher(64, std::chrono::milliseconds(2),
+                               std::chrono::milliseconds(16), log.fn(),
+                               /*compute_slots=*/1);
+        batcher.enqueue(spmvKey("m"), plainRequest());
+        batcher.enqueue(spmvKey("m"), plainRequest());
+        const auto give_up = std::chrono::steady_clock::now() +
+            std::chrono::seconds(5);
+        while (log.snapshot().size() < 2 &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 1}));
+        EXPECT_EQ(batcher.idleFlushes(), 1u);
+        EXPECT_EQ(batcher.deadlineFlushes(), 1u);
+    }
+}
+
+TEST(Batcher, ComputeEndFlushesHeldNormalWork)
+{
+    FlushLog log;
+    serve::Batcher batcher(64, std::chrono::seconds(10),
+                           std::chrono::seconds(10), log.fn(),
+                           /*compute_slots=*/1);
+    batcher.enqueue(spmvKey("m"), plainRequest());
+    batcher.enqueue(spmvKey("m"), plainRequest());
+    batcher.enqueue(spmvKey("m"), plainRequest());
+    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1}));
+    // The running batch ends: its slot goes straight to the two
+    // held requests, as one batch, on the calling thread.
+    batcher.computeEnded();
+    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(batcher.idleFlushes(), 2u);
+    // Nothing held: the next end only frees the slot ...
+    batcher.computeEnded();
+    EXPECT_EQ(log.snapshot().size(), 2u);
+    // ... which the next arrival takes at once.
+    batcher.enqueue(spmvKey("m"), plainRequest());
+    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 2, 1}));
+    EXPECT_EQ(batcher.deadlineFlushes(), 0u);
+    batcher.computeEnded();
+}
+
+TEST(Batcher, BatchAndHighIgnoreFreeSlots)
+{
+    FlushLog log;
+    serve::Batcher batcher(64, std::chrono::seconds(10),
+                           std::chrono::seconds(10), log.fn(),
+                           /*compute_slots=*/4);
+    // kBatch waits for company even with every slot free.
+    batcher.enqueue(spmvKey("bulk"),
+                    plainRequest(serve::Priority::kBatch));
+    EXPECT_TRUE(log.snapshot().empty());
+    // kHigh flushes as before, counted as a priority flush.
+    batcher.enqueue(spmvKey("hot"), plainRequest(serve::Priority::kHigh));
+    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1}));
+    EXPECT_EQ(batcher.priorityFlushes(), 1u);
+    // The end of a compute does not pull held kBatch work either.
+    batcher.computeEnded();
+    EXPECT_EQ(log.snapshot().size(), 1u);
+    EXPECT_EQ(batcher.idleFlushes(), 0u);
+    batcher.flushAll();
+    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 1}));
+    EXPECT_EQ(batcher.manualFlushes(), 1u);
+    batcher.computeEnded();
+}
+
 TEST(ServeRegistry, SelectsOnceAndCachesConversions)
 {
     serve::MatrixRegistry registry;
@@ -620,17 +755,21 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
             serve::SessionOptions opts;
             opts.threads = threads;
             opts.maxBatch = 8;
-            // Long enough that no deadline flush fires: every batch
-            // leaves the batcher because its queue reached maxBatch.
-            opts.maxDelay = std::chrono::seconds(10);
+            // kBatch waits for company (a free compute slot never
+            // flushes it) and its cap is long enough that no
+            // deadline flush fires: every batch leaves the batcher
+            // because its queue reached maxBatch.
+            opts.batchDelay = std::chrono::seconds(10);
             opts.compute = compute;
             serve::Session session(registry, opts);
 
+            serve::RequestOptions ropts;
+            ropts.priority = serve::Priority::kBatch;
             std::vector<std::future<
                 serve::Result<std::vector<Value>>>> futures;
             for (Index r = 0; r < n_req; ++r)
                 futures.push_back(session.submit(serve::SpmvRequest{
-                    "m", rampVector(200, r % 6), {}}));
+                    "m", rampVector(200, r % 6), ropts}));
             for (Index r = 0; r < n_req; ++r) {
                 serve::Result<std::vector<Value>> result =
                     futures[static_cast<std::size_t>(r)].get();
@@ -654,6 +793,45 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
             EXPECT_EQ(session.stats().widestBatch.load(),
                       static_cast<std::uint64_t>(opts.maxBatch))
                 << "threads " << threads;
+        }
+    }
+}
+
+TEST(ServeSession, LoneNormalRequestSkipsMaxDelay)
+{
+    serve::MatrixRegistry registry;
+    registry.put("m", wl::genClustered(96, 96, 1000, 5, 43));
+    for (int threads : threadCounts()) {
+        for (serve::ComputeExec compute :
+             {serve::ComputeExec::kSerial,
+              serve::ComputeExec::kParallel}) {
+            serve::SessionOptions opts;
+            opts.threads = threads;
+            opts.maxBatch = 8;
+            opts.maxDelay = std::chrono::seconds(10);
+            opts.compute = compute;
+            serve::Session session(registry, opts);
+            // Serial batches take one worker each; one parallel
+            // batch spans the pool.
+            EXPECT_EQ(session.batcher().computeSlots(),
+                      compute == serve::ComputeExec::kParallel
+                          ? 1
+                          : session.threads());
+
+            for (Index r = 0; r < 3; ++r) {
+                const auto t0 = std::chrono::steady_clock::now();
+                auto f = session.submit(
+                    serve::SpmvRequest{"m", rampVector(96, r), {}});
+                ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+                          std::future_status::ready);
+                EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                          std::chrono::milliseconds(100))
+                    << "threads " << threads;
+                ASSERT_TRUE(f.get().ok());
+            }
+            session.drain();
+            EXPECT_EQ(session.batcher().deadlineFlushes(), 0u);
+            EXPECT_GE(session.batcher().idleFlushes(), 3u);
         }
     }
 }
