@@ -619,11 +619,12 @@ parallelSpmv(const MatrixRef& a, const std::vector<Value>& x,
         return;
       }
       case Format::kEll: {
+        // Row-independent slabs: any row split gives the serial bits.
         const auto& m = a.as<fmt::EllMatrix>();
         noteDispatch(Format::kEll, obs::DispatchPath::kRows);
+        const simd::KernelTable& kt = simd::kernels();
         e.parallelFor(0, m.rows(), 64, [&](Index rb, Index re) {
-            sim::NativeExec ne;
-            kern::spmvEllRange(m, x, y, rb, re, ne);
+            kt.ellSpmvRange(m, x, y, rb, re);
         });
         return;
       }
@@ -943,9 +944,17 @@ spmv(const MatrixRef& a, const std::vector<Value>& x,
           case Format::kBcsr:
             kern::spmvBcsr(a.as<fmt::BcsrMatrix>(), xp, y, e);
             return;
-          case Format::kEll:
-            kern::spmvEll(a.as<fmt::EllMatrix>(), xp, y, e);
+          case Format::kEll: {
+            const auto& m = a.as<fmt::EllMatrix>();
+            if constexpr (!E::kSimulated) {
+                // The table's canonical row sum, as for CSR: native
+                // ELL and CSR answers agree bit for bit.
+                simd::kernels().ellSpmvRange(m, xp, y, 0, m.rows());
+            } else {
+                kern::spmvEll(m, xp, y, e);
+            }
             return;
+          }
           case Format::kDia:
             kern::spmvDia(a.as<fmt::DiaMatrix>(), xp, y, e);
             return;

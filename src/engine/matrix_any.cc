@@ -129,6 +129,8 @@ SparseMatrixAny::fromCsr(const fmt::CsrMatrix& csr, Format target,
 {
     if (target == Format::kCsr)
         return SparseMatrixAny(csr);
+    if (target == Format::kEll)
+        return SparseMatrixAny(fmt::EllMatrix::fromCsr(csr));
     if (target == Format::kSmash)
         return SparseMatrixAny(core::SmashMatrix::fromCsr(
             csr, core::HierarchyConfig::fromPaperNotation(

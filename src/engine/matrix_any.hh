@@ -180,9 +180,9 @@ class SparseMatrixAny
 
     /**
      * Encode a CSR master copy as @p target (the registry's
-     * re-encode path). SMASH encodes straight from CSR (the paper's
-     * §4.1.3 conversion, as the fig20 study prices it); every other
-     * non-CSR target round-trips through canonical COO.
+     * re-encode path). SMASH (the paper's §4.1.3 conversion, as
+     * the fig20 study prices it) and ELL encode straight from CSR;
+     * every other non-CSR target round-trips through canonical COO.
      */
     static SparseMatrixAny fromCsr(const fmt::CsrMatrix& csr,
                                    Format target,

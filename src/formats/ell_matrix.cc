@@ -10,37 +10,50 @@ namespace smash::fmt
 {
 
 EllMatrix
+EllMatrix::fromCsr(const CsrMatrix& csr)
+{
+    const std::vector<Value>& vals = csr.values();
+    // Explicit zeros (fromRaw, scaleValues(0)) are not ELL entries:
+    // drop them the way the COO route does, then build.
+    if (std::find(vals.begin(), vals.end(), Value(0)) != vals.end())
+        return fromCsr(CsrMatrix::fromCoo(csr.toCoo()));
+
+    const std::vector<CsrIndex>& row_ptr = csr.rowPtr();
+    const std::vector<CsrIndex>& cols = csr.colInd();
+    EllMatrix ell;
+    ell.rows_ = csr.rows();
+    ell.cols_ = csr.cols();
+    ell.nnz_ = csr.nnz();
+    for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r)
+        ell.width_ =
+            std::max<Index>(ell.width_, row_ptr[r + 1] - row_ptr[r]);
+
+    // Each slot is written once: a row's entries, then its padding.
+    const std::size_t slab =
+        static_cast<std::size_t>(ell.rows_) *
+        static_cast<std::size_t>(ell.width_);
+    ell.colInd_.reserve(slab);
+    ell.values_.reserve(slab);
+    for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+        const auto b = static_cast<std::size_t>(row_ptr[r]);
+        const auto e = static_cast<std::size_t>(row_ptr[r + 1]);
+        const auto pad = static_cast<std::size_t>(ell.width_) - (e - b);
+        ell.colInd_.insert(ell.colInd_.end(), cols.begin() + b,
+                           cols.begin() + e);
+        ell.colInd_.insert(ell.colInd_.end(), pad, kEllPad);
+        ell.values_.insert(ell.values_.end(), vals.begin() + b,
+                           vals.begin() + e);
+        ell.values_.insert(ell.values_.end(), pad, Value(0));
+    }
+    return ell;
+}
+
+EllMatrix
 EllMatrix::fromCoo(const CooMatrix& coo)
 {
     SMASH_CHECK(coo.isCanonical(),
                 "ELL conversion requires a canonical COO matrix");
-
-    EllMatrix ell;
-    ell.rows_ = coo.rows();
-    ell.cols_ = coo.cols();
-    ell.nnz_ = coo.nnz();
-
-    std::vector<Index> degree(static_cast<std::size_t>(coo.rows()), 0);
-    for (const CooEntry& e : coo.entries())
-        ++degree[static_cast<std::size_t>(e.row)];
-    ell.width_ = degree.empty()
-        ? 0 : *std::max_element(degree.begin(), degree.end());
-
-    const std::size_t slab =
-        static_cast<std::size_t>(ell.rows_) *
-        static_cast<std::size_t>(ell.width_);
-    ell.colInd_.assign(slab, kEllPad);
-    ell.values_.assign(slab, Value(0));
-
-    std::vector<Index> fill(static_cast<std::size_t>(coo.rows()), 0);
-    for (const CooEntry& e : coo.entries()) {
-        auto r = static_cast<std::size_t>(e.row);
-        std::size_t slot = r * static_cast<std::size_t>(ell.width_) +
-            static_cast<std::size_t>(fill[r]++);
-        ell.colInd_[slot] = static_cast<CsrIndex>(e.col);
-        ell.values_[slot] = e.value;
-    }
-    return ell;
+    return fromCsr(CsrMatrix::fromCoo(coo));
 }
 
 DenseMatrix

@@ -32,7 +32,16 @@ class EllMatrix
   public:
     EllMatrix() = default;
 
-    /** Build from a canonical COO matrix. */
+    /**
+     * Build from CSR in one pass over row_ptr: the width is the
+     * longest row, and each row copies its entries into its slab
+     * ahead of the padding. Explicit zeros in @p csr are dropped
+     * (through the COO route), so the result always equals
+     * fromCoo(csr.toCoo()).
+     */
+    static EllMatrix fromCsr(const CsrMatrix& csr);
+
+    /** Build from a canonical COO matrix (via fromCsr). */
     static EllMatrix fromCoo(const CooMatrix& coo);
 
     Index rows() const { return rows_; }

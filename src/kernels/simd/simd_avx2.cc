@@ -1,9 +1,9 @@
 /**
  * @file
  * AVX2 + BMI + POPCNT kernel variants — the software analogue of
- * the paper's Bitmap Management Unit. CSR dots gather x with
- * vgatherdpd under two 4-lane accumulators; the SMASH word walk
- * decodes set bits with tzcnt/blsr (BMI) and, for the common
+ * the paper's Bitmap Management Unit. CSR and ELL row dots gather
+ * x with vgatherdpd under two 4-lane accumulators; the SMASH word
+ * walk decodes set bits with tzcnt/blsr (BMI) and, for the common
  * blockSize==2 encoding, multiplies two blocks per ymm; the rank
  * pre-scan uses the popcnt instruction. (_pext_u64 lane compaction
  * was prototyped and lost to the tzcnt/blsr decode — see
@@ -173,7 +173,7 @@ SMASH_TARGET_AVX2 void
 csrSpmvRangeAvx2(const fmt::CsrMatrix& a, const std::vector<Value>& x,
                  std::vector<Value>& y, Index row_begin, Index row_end)
 {
-    detail::checkCsrOperands(a, x, y);
+    detail::checkRowOperands(a, x, y);
     const fmt::CsrIndex* row_ptr = a.rowPtr().data();
     const fmt::CsrIndex* cols = a.colInd().data();
     const Value* vals = a.values().data();
@@ -189,6 +189,25 @@ csrSpmvRangeAvx2(const fmt::CsrMatrix& a, const std::vector<Value>& x,
         const Index n = static_cast<Index>(row_ptr[si + 1] - b);
         y[si] += dotSpanAvx2(cols + b, vals + b, n, xp,
                              pf_total == 0 ? Index(0) : pf_total - b);
+    }
+}
+
+SMASH_TARGET_AVX2 void
+ellSpmvRangeAvx2(const fmt::EllMatrix& a, const std::vector<Value>& x,
+                 std::vector<Value>& y, Index row_begin, Index row_end)
+{
+    detail::checkRowOperands(a, x, y);
+    const Index width = a.width();
+    const fmt::CsrIndex* cols = a.colInd().data();
+    const Value* vals = a.values().data();
+    const Value* xp = x.data();
+    // No x prefetch: it would have to stop at the row's end, and a
+    // row is rarely long enough for a 16-ahead prefetch to pay.
+    for (Index i = row_begin; i < row_end; ++i) {
+        const auto slot = static_cast<std::size_t>(i * width);
+        const Index n = detail::ellRowLength(cols + slot, width);
+        y[static_cast<std::size_t>(i)] +=
+            dotSpanAvx2(cols + slot, vals + slot, n, xp, 0);
     }
 }
 
@@ -459,8 +478,9 @@ avx2KernelTable()
 {
     static const KernelTable table = {
         &csrSpmvRangeAvx2,     &csrSpmvTileRangeAvx2,
-        &csrSpmvBatchRangeAvx2, &smashSpmvWordsAvx2,
-        &smashSpmvBatchWordsAvx2, &popcountWordsAvx2,
+        &csrSpmvBatchRangeAvx2, &ellSpmvRangeAvx2,
+        &smashSpmvWordsAvx2,   &smashSpmvBatchWordsAvx2,
+        &popcountWordsAvx2,
         IsaLevel::kAvx2,
     };
     return table;

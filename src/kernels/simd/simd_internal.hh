@@ -6,13 +6,16 @@
  * This header pins down the *canonical arithmetic* every variant
  * must reproduce bit-for-bit:
  *
- *  - CSR row/segment dots and generic SMASH block dots keep eight
- *    lane sums, element k feeding lane k mod 8, with the final
- *    (n mod 8) group padded by +0.0 products; lanes reduce as
+ *  - CSR row/segment dots, ELL row dots and generic SMASH block
+ *    dots keep eight lane sums, element k feeding lane k mod 8,
+ *    with the final (n mod 8) group padded by +0.0 products; lanes
+ *    reduce as
  *    ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)). That is precisely the
  *    result of two 4-lane AVX2 accumulators (or one 8-lane AVX-512
  *    accumulator folded 256-bit-halves-first) reduced
- *    add / extract-high / add / unpack / add.
+ *    add / extract-high / add / unpack / add. An ELL row is the
+ *    span of its slots before the first kEllPad (ellRowLength), so
+ *    it reduces exactly like the same row in CSR.
  *  - The blockSize==2 SMASH fast path keeps four lane sums: set-bit
  *    ordinal b contributes its two products to lanes (b%2)*2 and
  *    (b%2)*2+1 (one ymm holds two blocks), an odd trailing block
@@ -228,15 +231,36 @@ smashWordSlow(BitWord word, Index word_base_bit, Index bits_per_row,
     return block;
 }
 
-/** Operand checks shared by the CSR entries. */
+/** Operand checks shared by the CSR and ELL row entries. */
+template <typename M>
 inline void
-checkCsrOperands(const fmt::CsrMatrix& a, const std::vector<Value>& x,
+checkRowOperands(const M& a, const std::vector<Value>& x,
                  const std::vector<Value>& y)
 {
     SMASH_CHECK(static_cast<Index>(x.size()) >= a.cols(),
                 "x too short");
     SMASH_CHECK(static_cast<Index>(y.size()) >= a.rows(),
                 "y too short");
+}
+
+/**
+ * Real-entry count of one ELL row slab of @p width slots — exactly
+ * the CSR row length, so the row's dot runs CSR's canonical tree.
+ * Real entries precede the kEllPad slots: a real last slot means a
+ * full row (one compare, the uniform-rows case); otherwise the
+ * count is a branch-free pass over the slots (a backward scan
+ * stopping at the last real entry mispredicts once per ragged row
+ * and measured slower).
+ */
+inline Index
+ellRowLength(const fmt::CsrIndex* slab, Index width)
+{
+    if (width == 0 || slab[width - 1] != fmt::kEllPad)
+        return width;
+    Index n = 0;
+    for (Index k = 0; k < width; ++k)
+        n += slab[k] != fmt::kEllPad ? 1 : 0;
+    return n;
 }
 
 /** Operand checks shared by the SMASH entries. */

@@ -2,9 +2,9 @@
  * @file
  * SIMD kernel layer: runtime-dispatched variants of the engine's
  * hot native loops — the CSR gather SpMV/SpMM-batch row loops, the
- * SMASH Bitmap-0 word walk (the software analogue of the paper's
- * BMU), the cache-blocked CSR tile kernel, and the word-rank
- * popcount used by the SMASH partition pre-scan.
+ * ELL row-slab SpMV, the SMASH Bitmap-0 word walk (the software
+ * analogue of the paper's BMU), the cache-blocked CSR tile kernel,
+ * and the word-rank popcount used by the SMASH partition pre-scan.
  *
  * One binary carries scalar, AVX2+BMI2, and (guarded) AVX-512F
  * implementations of every entry; kernels() returns the table for
@@ -19,12 +19,15 @@
  * scalar variant cannot be silently contracted into FMA under
  * -mavx2 builds. SMASH_FORCE_ISA / setIsaLevel() therefore never
  * changes results, only speed; tests/test_simd.cc enforces this.
+ * CSR and ELL rows run the same span dot over the same entries in
+ * the same order, so native CSR and native ELL answers on the same
+ * content are bit-identical too.
  *
  * These entries are native-only (no execution-model billing): the
  * engine's simulated (SimExec) paths keep the cost-accurate kernels
- * in kernels/spmv.hh. None of the entries allocates — the
- * steady-state zero-allocation contract of the dispatch layer
- * extends to every variant.
+ * in kernels/spmv.hh and kernels/spmv_structured.hh. None of the
+ * entries allocates — the steady-state zero-allocation contract of
+ * the dispatch layer extends to every variant.
  */
 
 #ifndef SMASH_KERNELS_SIMD_SIMD_KERNELS_HH
@@ -37,6 +40,7 @@
 #include "core/smash_matrix.hh"
 #include "formats/csr_matrix.hh"
 #include "formats/dense_matrix.hh"
+#include "formats/ell_matrix.hh"
 
 namespace smash::simd
 {
@@ -75,6 +79,16 @@ struct KernelTable
                               const fmt::DenseMatrix& x,
                               fmt::DenseMatrix& y, Index row_begin,
                               Index row_end);
+
+    /** y := y + A x over ELL rows [row_begin, row_end). Each row
+     *  sums its real entries (those before its first kEllPad slot)
+     *  with the canonical tree csrSpmvRange uses, so the answer
+     *  equals native CSR's on the same content bit for bit. x must
+     *  hold at least a.cols() entries, y at least a.rows(). */
+    void (*ellSpmvRange)(const fmt::EllMatrix& a,
+                         const std::vector<Value>& x,
+                         std::vector<Value>& y, Index row_begin,
+                         Index row_end);
 
     /** The §4.4 SMASH word walk over Bitmap-0 words
      *  [word_begin, word_end); nza_block is the Bitmap-0 rank before

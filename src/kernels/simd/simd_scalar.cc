@@ -18,7 +18,7 @@ csrSpmvRangeScalar(const fmt::CsrMatrix& a, const std::vector<Value>& x,
                    std::vector<Value>& y, Index row_begin,
                    Index row_end)
 {
-    detail::checkCsrOperands(a, x, y);
+    detail::checkRowOperands(a, x, y);
     const fmt::CsrIndex* row_ptr = a.rowPtr().data();
     const fmt::CsrIndex* cols = a.colInd().data();
     const Value* vals = a.values().data();
@@ -38,6 +38,26 @@ csrSpmvRangeScalar(const fmt::CsrMatrix& a, const std::vector<Value>& x,
         y[si] += detail::dotSpanScalar(
             cols + b, vals + b, n, xp,
             pf_total == 0 ? Index(0) : pf_total - b);
+    }
+}
+
+void
+ellSpmvRangeScalar(const fmt::EllMatrix& a, const std::vector<Value>& x,
+                   std::vector<Value>& y, Index row_begin,
+                   Index row_end)
+{
+    detail::checkRowOperands(a, x, y);
+    const Index width = a.width();
+    const fmt::CsrIndex* cols = a.colInd().data();
+    const Value* vals = a.values().data();
+    const Value* xp = x.data();
+    // No x prefetch: it would have to stop at the row's end, and a
+    // row is rarely long enough for a 16-ahead prefetch to pay.
+    for (Index i = row_begin; i < row_end; ++i) {
+        const auto slot = static_cast<std::size_t>(i * width);
+        const Index n = detail::ellRowLength(cols + slot, width);
+        y[static_cast<std::size_t>(i)] +=
+            detail::dotSpanScalar(cols + slot, vals + slot, n, xp, 0);
     }
 }
 
@@ -230,8 +250,9 @@ scalarKernelTable()
 {
     static const KernelTable table = {
         &csrSpmvRangeScalar,     &csrSpmvTileRangeScalar,
-        &csrSpmvBatchRangeScalar, &smashSpmvWordsScalar,
-        &smashSpmvBatchWordsScalar, &popcountWordsScalar,
+        &csrSpmvBatchRangeScalar, &ellSpmvRangeScalar,
+        &smashSpmvWordsScalar,   &smashSpmvBatchWordsScalar,
+        &popcountWordsScalar,
         IsaLevel::kScalar,
     };
     return table;

@@ -107,9 +107,14 @@ spmvBatchEllRange(const fmt::EllMatrix& a, const fmt::DenseMatrix& x,
     const auto& col_ind = a.colInd();
     const auto& values = a.values();
     const Index width = a.width();
+    // Raw row-major walks: X and Y both carry nrhs columns
+    // (batchWidth checked), so row r starts at r * nrhs.
+    const Value* xp = x.data().data();
+    Value* yp = y.data().data();
+    const auto ld = static_cast<std::size_t>(nrhs);
 
     for (Index i = row_begin; i < row_end; ++i) {
-        Value* yr = &y.at(i, 0);
+        Value* yr = yp + static_cast<std::size_t>(i) * ld;
         for (Index k = 0; k < width; ++k) {
             auto slot = static_cast<std::size_t>(i * width + k);
             e.load(&col_ind[slot], sizeof(fmt::CsrIndex));
@@ -117,7 +122,7 @@ spmvBatchEllRange(const fmt::EllMatrix& a, const fmt::DenseMatrix& x,
             if (col_ind[slot] == fmt::kEllPad)
                 break;
             const Value* xr =
-                x.rowData(static_cast<Index>(col_ind[slot]));
+                xp + static_cast<std::size_t>(col_ind[slot]) * ld;
             e.load(xr, static_cast<std::size_t>(nrhs) * sizeof(Value),
                    sim::Dep::kDependent);
             e.load(&values[slot], sizeof(Value));
@@ -141,6 +146,9 @@ spmvBatchDiaRange(const fmt::DiaMatrix& a, const fmt::DenseMatrix& x,
     const Index nrhs = detail::batchWidth(a.rows(), a.cols(), x, y);
     const int vops = cost::vectorOps(nrhs);
     const Index cols = a.cols();
+    const Value* xp = x.data().data();
+    Value* yp = y.data().data();
+    const auto ld = static_cast<std::size_t>(nrhs);
 
     for (Index d = 0; d < a.numDiagonals(); ++d) {
         e.load(&a.offsets()[static_cast<std::size_t>(d)], sizeof(Index));
@@ -153,8 +161,9 @@ spmvBatchDiaRange(const fmt::DiaMatrix& a, const fmt::DenseMatrix& x,
             auto sr = static_cast<std::size_t>(r);
             e.load(&lane[sr], sizeof(Value));
             const Value v = lane[sr];
-            const Value* xr = x.rowData(r + off);
-            Value* yr = &y.at(r, 0);
+            const Value* xr =
+                xp + static_cast<std::size_t>(r + off) * ld;
+            Value* yr = yp + sr * ld;
             e.load(xr, static_cast<std::size_t>(nrhs) * sizeof(Value));
             for (Index k = 0; k < nrhs; ++k)
                 yr[k] += v * xr[k];

@@ -76,6 +76,10 @@ spmvDia(const fmt::DiaMatrix& a, const std::vector<Value>& x,
 /**
  * ELL SpMV over the row range [row_begin, row_end); disjoint row
  * ranges are parallel-safe (fixed-width slabs, private y rows).
+ * This is the SimExec billing path: the engine's native ELL runs
+ * simd::kernels().ellSpmvRange, whose canonical 8-lane row sum
+ * matches native CSR bit for bit (this loop's one add chain per row
+ * does not).
  */
 template <typename E>
 void

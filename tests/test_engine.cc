@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/parallel_exec.hh"
@@ -93,6 +94,40 @@ TEST(EngineDispatch, EveryFormatMatchesDenseOracle)
         for (std::size_t i = 0; i < ref.size(); ++i)
             EXPECT_NEAR(y[i], ref[i], 1e-9)
                 << "format " << eng::toString(f) << " row " << i;
+    }
+}
+
+TEST(EngineDispatch, NativeEllEqualsNativeCsrBitForBit)
+{
+    // Random values: a different summation order would show in the
+    // bits. ELL and CSR rows run the same canonical row sum.
+    const fmt::CooMatrix coo = wl::genUniform(211, 173, 2400, 41);
+    const eng::SparseMatrixAny csr =
+        eng::SparseMatrixAny::fromCoo(coo, eng::Format::kCsr);
+    const eng::SparseMatrixAny ell =
+        eng::SparseMatrixAny::fromCoo(coo, eng::Format::kEll);
+    std::vector<Value> x(static_cast<std::size_t>(coo.cols()));
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = Value(1) / Value(i + 3);
+    const auto rows = static_cast<std::size_t>(coo.rows());
+    const auto same = [](const std::vector<Value>& a,
+                         const std::vector<Value>& b) {
+        return std::memcmp(a.data(), b.data(),
+                           a.size() * sizeof(Value)) == 0;
+    };
+
+    sim::NativeExec ne;
+    std::vector<Value> y_csr(rows, Value(0)), y_ell(rows, Value(0));
+    eng::spmv(csr, x, y_csr, ne);
+    eng::spmv(ell, x, y_ell, ne);
+    EXPECT_TRUE(same(y_ell, y_csr)) << "serial";
+    for (int threads : {2, 4}) {
+        exec::ParallelExec pe(threads);
+        std::vector<Value> p_csr(rows, Value(0)), p_ell(rows, Value(0));
+        eng::spmv(csr, x, p_csr, pe);
+        eng::spmv(ell, x, p_ell, pe);
+        EXPECT_TRUE(same(p_ell, p_csr)) << threads << " threads";
+        EXPECT_TRUE(same(p_ell, y_ell)) << threads << " threads";
     }
 }
 

@@ -207,6 +207,48 @@ TEST(Ell, PaddingSlotsAreZeroValued)
     }
 }
 
+/** fromCsr must build exactly what the COO route builds. */
+void
+expectSameEll(const EllMatrix& got, const EllMatrix& want)
+{
+    EXPECT_TRUE(got.checkInvariants());
+    EXPECT_EQ(got.rows(), want.rows());
+    EXPECT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(got.width(), want.width());
+    EXPECT_EQ(got.nnz(), want.nnz());
+    EXPECT_EQ(got.colInd(), want.colInd());
+    EXPECT_EQ(got.values(), want.values());
+}
+
+TEST(Ell, FromCsrMatchesCooRoute)
+{
+    CooMatrix with_empty_rows(6, 9);
+    for (Index c : {Index(0), Index(3), Index(8)})
+        with_empty_rows.add(1, c, Value(c) + 0.5);
+    with_empty_rows.add(4, 2, -1.25);
+    with_empty_rows.canonicalize();
+    for (const CooMatrix& coo :
+         {fig1Example(), with_empty_rows, CooMatrix(5, 7),
+          CooMatrix(0, 0), tridiagonal(17),
+          wl::genPowerLaw(72, 72, 500, 1.8, 15)}) {
+        const CsrMatrix csr = CsrMatrix::fromCoo(coo);
+        const EllMatrix ell = EllMatrix::fromCsr(csr);
+        expectSameEll(ell, EllMatrix::fromCoo(csr.toCoo()));
+        EXPECT_TRUE(ell.toDense().approxEquals(coo.toDense(), 0.0));
+    }
+}
+
+TEST(Ell, FromCsrDropsExplicitZerosLikeTheCooRoute)
+{
+    // Row 0: {0: 2, 2: 0}; row 1: {1: 0}; row 2: {0: 1, 1: 3}.
+    const CsrMatrix csr = CsrMatrix::fromRaw(
+        3, 3, {0, 2, 3, 5}, {0, 2, 1, 0, 1}, {2.0, 0.0, 0.0, 1.0, 3.0});
+    const EllMatrix ell = EllMatrix::fromCsr(csr);
+    expectSameEll(ell, EllMatrix::fromCoo(csr.toCoo()));
+    EXPECT_EQ(ell.width(), 2);
+    EXPECT_EQ(ell.nnz(), 3);
+}
+
 // ------------------------------------------------------ SpMV kernels
 
 struct StructuredSpmvCase

@@ -346,6 +346,84 @@ TEST(Reselect, HysteresisSuppressesThrashThenMovesDecisively)
     EXPECT_EQ(registry.reselects("drifty"), 1u);
 }
 
+/**
+ * Entries k in [k_begin, len) of each row of a 256 x 256 strided
+ * pattern, scaled by @p sign, where len is 8, or @p ragged_len on
+ * every 4th row. With ragged_len 32 the §7.2.3 rules pick CSR; with
+ * 8 every row is uniform and they pick ELL. Values are not dyadic,
+ * so summation order shows in the bits.
+ */
+fmt::CooMatrix
+stridedRows(Index k_begin, Index ragged_len, Value sign)
+{
+    constexpr Index kN = 256;
+    fmt::CooMatrix coo(kN, kN);
+    for (Index r = 0; r < kN; ++r) {
+        const Index len = r % 4 == 0 ? ragged_len : 8;
+        for (Index k = k_begin; k < len; ++k) {
+            const Index c = (r * 5 + k * 7) % kN;
+            coo.add(r, c,
+                    sign * (Value(0.1) +
+                            Value((r * 257 + c) % 1000) / Value(997)));
+        }
+    }
+    coo.canonicalize();
+    return coo;
+}
+
+TEST(Reselect, CsrToEllReencodeKeepsTheBitsReadersSee)
+{
+    // The same content served as CSR, then (after a drift re-encode)
+    // as ELL: the native kernels share one canonical row sum, so a
+    // reader cannot tell the encodings apart, bit for bit.
+    serve::MatrixRegistry registry;
+    serve::ReselectPolicy frozen;
+    frozen.enabled = false;
+    registry.setReselectPolicy(frozen);
+    ASSERT_EQ(registry.put("flip", stridedRows(0, 32, Value(1))),
+              eng::Format::kCsr);
+    serve::SessionOptions opts;
+    opts.threads = 1;
+    serve::Session session(registry, opts);
+
+    // Drop the extra entries with reselection frozen: the content
+    // is now uniform, still served as CSR.
+    registry.applyUpdates("flip", stridedRows(8, 32, Value(-1)));
+    const std::vector<Value> x = [] {
+        std::vector<Value> v(256);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = Value(1) / Value(i + 3);
+        return v;
+    }();
+    const std::vector<Value> as_csr =
+        session.submit(serve::SpmvRequest{"flip", x}).get().value();
+    ASSERT_EQ(registry.encoded("flip")->format(), eng::Format::kCsr);
+
+    // Unfreeze; one insert crosses the drift gate toward ELL and
+    // the matching removal restores the content.
+    registry.setReselectPolicy(serve::ReselectPolicy());
+    fmt::CooMatrix insert(256, 256);
+    insert.add(1, 61, Value(0.5));
+    insert.canonicalize();
+    const serve::UpdateOutcome out =
+        session.applyUpdates("flip", insert);
+    ASSERT_TRUE(out.reencodeScheduled);
+    EXPECT_EQ(out.target, eng::Format::kEll);
+    fmt::CooMatrix remove(256, 256);
+    remove.add(1, 61, Value(-0.5));
+    remove.canonicalize();
+    session.applyUpdates("flip", remove);
+    ASSERT_TRUE(waitReencodeSettled(registry, "flip"));
+
+    const std::vector<Value> as_ell =
+        session.submit(serve::SpmvRequest{"flip", x}).get().value();
+    ASSERT_EQ(registry.encoded("flip")->format(), eng::Format::kEll);
+    ASSERT_EQ(as_ell.size(), as_csr.size());
+    EXPECT_EQ(std::memcmp(as_ell.data(), as_csr.data(),
+                          as_csr.size() * sizeof(Value)),
+              0);
+}
+
 TEST(Reselect, MutationInvalidatesCachedEncodingsButNotHeldEpochs)
 {
     serve::MatrixRegistry registry;

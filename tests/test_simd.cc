@@ -4,9 +4,10 @@
  *
  *  - every kernel variant table — scalar, AVX2+BMI2, AVX-512F —
  *    produces *bit-identical* results on every entry point (CSR
- *    SpMV, the column-tiled CSR walk, batched CSR SpMV, the SMASH
- *    word walk single and batched, popcountWords), at every level
- *    the host supports;
+ *    SpMV, the column-tiled CSR walk, batched CSR SpMV, ELL SpMV,
+ *    the SMASH word walk single and batched, popcountWords), at
+ *    every level the host supports, and ELL SpMV equals CSR SpMV
+ *    on the same content;
  *  - the same holds through the engine dispatch at 1, 2, and 8
  *    threads with the active level switched via setIsaLevel() (the
  *    in-process equivalent of SMASH_FORCE_ISA — the CI matrix runs
@@ -25,9 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -38,6 +43,7 @@
 #include "engine/dispatch.hh"
 #include "formats/csr_matrix.hh"
 #include "formats/dense_matrix.hh"
+#include "formats/ell_matrix.hh"
 #include "kernels/simd/simd_kernels.hh"
 #include "sim/exec_model.hh"
 #include "workloads/matrix_gen.hh"
@@ -169,6 +175,78 @@ straddleMatrix()
     return wl::genClustered(128, 90, 1800, 4, 23);
 }
 
+/**
+ * A 40 x 64 matrix whose ELL width is @p width: full-width rows
+ * mixed with empty and partial rows (width 0 leaves every row
+ * empty). Column 0 holds no entry, so x[0] is never a real operand.
+ */
+fmt::CsrMatrix
+ellWidthMatrix(Index width)
+{
+    const Index rows = 40;
+    fmt::CooMatrix coo(rows, 64);
+    const std::vector<Value> v =
+        pseudoX(rows * 64, 101 + static_cast<std::uint64_t>(width));
+    for (Index r = 0; r < rows; ++r) {
+        // Cycle: full, empty, full, one short, single, empty, and
+        // 8 (a whole lane group followed by pads).
+        const Index lens[7] = {width, 0, width, width - 1, 1, 0, 8};
+        const Index len =
+            std::min(width, std::max<Index>(0, lens[r % 7]));
+        for (Index k = 0; k < len; ++k) {
+            const Index c = 1 + (r * 5 + k * 3) % 63;
+            coo.add(r, c, v[static_cast<std::size_t>(r * 64 + c)]);
+        }
+    }
+    coo.canonicalize();
+    return fmt::CsrMatrix::fromCoo(coo);
+}
+
+/** The ELL widths every ELL test covers, plus a 0 x 0 matrix. */
+std::vector<fmt::CsrMatrix>
+ellEdgeMatrices()
+{
+    std::vector<fmt::CsrMatrix> out;
+    out.push_back(fmt::CsrMatrix::fromCoo(fmt::CooMatrix(0, 0)));
+    for (Index w : {Index(0), Index(1), Index(7), Index(8), Index(13),
+                    Index(17)})
+        out.push_back(ellWidthMatrix(w));
+    return out;
+}
+
+/** x with a non-finite x[0]: a kernel that reads x for a pad slot
+ *  turns its row into NaN or inf. */
+std::vector<Value>
+poisonedX(Index n, Value x0)
+{
+    std::vector<Value> x = pseudoX(n, 43);
+    if (n > 0)
+        x[0] = x0;
+    return x;
+}
+
+const Value kPoisons[3] = {std::numeric_limits<Value>::infinity(),
+                           -std::numeric_limits<Value>::infinity(),
+                           std::numeric_limits<Value>::quiet_NaN()};
+
+bool
+sameBits(const std::vector<Value>& a, const std::vector<Value>& b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(Value)) ==
+                0);
+}
+
+bool
+allFinite(const std::vector<Value>& v)
+{
+    for (Value e : v)
+        if (!std::isfinite(e))
+            return false;
+    return true;
+}
+
 } // namespace
 
 TEST(CpuFeaturesProbe, LevelOrderingAndClamping)
@@ -258,6 +336,40 @@ TEST(BitIdentity, CsrSpmvBatchAcrossLevels)
             EXPECT_EQ(y.data(), ref.data())
                 << "batched CSR diverged at level "
                 << simd::toString(level) << ", nrhs " << nrhs;
+        }
+    }
+}
+
+TEST(BitIdentity, EllSpmvAcrossLevelsAndEqualsCsr)
+{
+    for (const fmt::CsrMatrix& csr : ellEdgeMatrices()) {
+        const fmt::EllMatrix ell = fmt::EllMatrix::fromCsr(csr);
+        for (Value poison : kPoisons) {
+            const std::vector<Value> x = poisonedX(ell.cols(), poison);
+            std::vector<Value> ref(static_cast<std::size_t>(ell.rows()),
+                                   Value(0.25));
+            simd::kernelsFor(simd::IsaLevel::kScalar)
+                .ellSpmvRange(ell, x, ref, 0, ell.rows());
+            EXPECT_TRUE(allFinite(ref))
+                << "a pad slot read x[0] = " << poison << " at width "
+                << ell.width();
+            for (simd::IsaLevel level : supportedLevels()) {
+                const simd::KernelTable& kt = simd::kernelsFor(level);
+                std::vector<Value> y(
+                    static_cast<std::size_t>(ell.rows()), Value(0.25));
+                kt.ellSpmvRange(ell, x, y, 0, ell.rows());
+                EXPECT_TRUE(sameBits(y, ref))
+                    << "ELL SpMV diverged at level "
+                    << simd::toString(level) << ", width "
+                    << ell.width() << ", x[0] = " << poison;
+                std::vector<Value> yc(
+                    static_cast<std::size_t>(ell.rows()), Value(0.25));
+                kt.csrSpmvRange(csr, x, yc, 0, csr.rows());
+                EXPECT_TRUE(sameBits(y, yc))
+                    << "ELL and CSR differ at level "
+                    << simd::toString(level) << ", width "
+                    << ell.width();
+            }
         }
     }
 }
@@ -395,6 +507,40 @@ TEST(DispatchBitIdentity, SerialCsrMatchesParallelAtEveryLevel)
                 << "row-partitioned CSR diverged from serial at "
                 << threads << " threads, level "
                 << simd::toString(level);
+        }
+    }
+}
+
+TEST(DispatchBitIdentity, SerialEllMatchesParallelAtEveryLevel)
+{
+    IsaGuard guard;
+    for (const fmt::CsrMatrix& csr : ellEdgeMatrices()) {
+        eng::SparseMatrixAny m(fmt::EllMatrix::fromCsr(csr));
+        const std::vector<Value> x =
+            poisonedX(csr.cols(), kPoisons[2]);
+        const auto rows = static_cast<std::size_t>(csr.rows());
+        std::vector<Value> ref(rows, Value(0));
+        ASSERT_TRUE(simd::setIsaLevel(simd::IsaLevel::kScalar));
+        sim::NativeExec ne;
+        eng::spmv(m.ref(), x, ref, ne);
+        for (simd::IsaLevel level : supportedLevels()) {
+            ASSERT_TRUE(simd::setIsaLevel(level));
+            std::vector<Value> serial(rows, Value(0));
+            eng::spmv(m.ref(), x, serial, ne);
+            EXPECT_TRUE(sameBits(serial, ref))
+                << "serial ELL diverged at level "
+                << simd::toString(level) << ", width "
+                << m.as<fmt::EllMatrix>().width();
+            for (int threads : {1, 2, 8}) {
+                exec::ParallelExec pe(threads);
+                std::vector<Value> par(rows, Value(0));
+                eng::spmv(m.ref(), x, par, pe);
+                EXPECT_TRUE(sameBits(par, ref))
+                    << "parallel ELL diverged from serial at "
+                    << threads << " threads, level "
+                    << simd::toString(level) << ", width "
+                    << m.as<fmt::EllMatrix>().width();
+            }
         }
     }
 }
