@@ -4,9 +4,10 @@
  * matrices — a banded finite-difference system, a clustered
  * FEM-style matrix, and a power-law graph matrix — run through
  * eng::encodeAuto(), which profiles the structure (nnz/row,
- * diagonal coverage, §7.2.3 locality of sparsity) and picks DIA,
- * SMASH, and CSR respectively. Every result is validated against
- * CSR through the same dispatch API the selection feeds.
+ * diagonal coverage, §7.2.3 locality of sparsity — one linear pass
+ * over the CSR form, eng::analyzeStructure()) and picks DIA, SMASH,
+ * and CSR respectively. Every result is validated against CSR
+ * through the same dispatch API the selection feeds.
  *
  * Build:  cmake -B build && cmake --build build
  * Run:    ./build/examples/engine_autoselect
@@ -44,11 +45,11 @@ main()
 
     sim::NativeExec e;
     for (const Case& c : cases) {
-        eng::StructureStats stats = eng::analyzeStructure(c.coo);
+        const fmt::CsrMatrix csr = fmt::CsrMatrix::fromCoo(c.coo);
+        const eng::StructureStats stats = eng::analyzeStructure(csr);
         eng::SparseMatrixAny m = eng::encodeAuto(c.coo);
 
         // Validate the selected encoding against CSR via dispatch.
-        fmt::CsrMatrix csr = fmt::CsrMatrix::fromCoo(c.coo);
         std::vector<Value> x(static_cast<std::size_t>(c.coo.cols()),
                              Value(1));
         for (Index i = 0; i < c.coo.cols(); ++i)

@@ -1,11 +1,11 @@
 #include "engine/autoselect.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
@@ -16,63 +16,97 @@ namespace smash::eng
 {
 
 StructureStats
-analyzeStructure(const fmt::CooMatrix& coo, Index block)
+analyzeStructure(const fmt::CsrMatrix& m, Index block)
 {
     SMASH_CHECK(block >= 1, "block must be positive");
     StructureStats s;
-    s.rows = coo.rows();
-    s.cols = coo.cols();
-    s.nnz = coo.nnz();
+    s.rows = m.rows();
+    s.cols = m.cols();
+    s.nnz = m.nnz();
     s.localityBlock = block;
     if (s.rows == 0 || s.cols == 0 || s.nnz == 0)
         return s;
 
-    std::vector<Index> row_pop(static_cast<std::size_t>(s.rows), 0);
-    // Diagonal id -> population; block id -> touched (row-aligned
-    // column segments of `block` elements, the NZA grid).
-    std::unordered_map<Index, Index> diag_pop;
-    std::unordered_set<std::uint64_t> blocks;
-    const Index blocks_per_row =
-        (s.cols + block - 1) / block;
-    for (const fmt::CooEntry& entry : coo.entries()) {
-        ++row_pop[static_cast<std::size_t>(entry.row)];
-        ++diag_pop[entry.col - entry.row];
-        blocks.insert(
-            static_cast<std::uint64_t>(entry.row * blocks_per_row +
-                                       entry.col / block));
+    const auto& rp = m.rowPtr();
+    const auto& ci = m.colInd();
+    const auto rowBegin = [&rp](Index r) {
+        return static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
+    };
+
+    // Pre-pass: rows are column-sorted, so each row's first and last
+    // entries bound its diagonals (col - row), and together they
+    // bound the occupied range the bitmap has to cover.
+    Index lo = s.cols;
+    Index hi = -s.rows;
+    for (Index r = 0; r < s.rows; ++r) {
+        const std::size_t k0 = rowBegin(r);
+        const std::size_t k1 = rowBegin(r + 1);
+        if (k0 == k1)
+            continue;
+        lo = std::min(lo, Index(ci[k0]) - r);
+        hi = std::max(hi, Index(ci[k1 - 1]) - r);
     }
+    std::vector<std::uint64_t> diags(
+        static_cast<std::size_t>((hi - lo) / 64 + 1), 0);
 
     s.density = static_cast<double>(s.nnz) /
         (static_cast<double>(s.rows) * static_cast<double>(s.cols));
     s.avgNnzPerRow = static_cast<double>(s.nnz) /
         static_cast<double>(s.rows);
 
+    // Main pass, in row order (the variance sum depends on it): row
+    // populations come from the row pointers, a row's touched
+    // aligned column blocks (the NZA grid) are its runs of equal
+    // col / block, and every entry marks its diagonal.
     double var = 0;
-    for (Index pop : row_pop) {
+    Index blocks = 0;
+    for (Index r = 0; r < s.rows; ++r) {
+        const std::size_t k0 = rowBegin(r);
+        const std::size_t k1 = rowBegin(r + 1);
+        const auto pop = static_cast<Index>(k1 - k0);
         const double d = static_cast<double>(pop) - s.avgNnzPerRow;
         var += d * d;
         s.maxNnzPerRow = std::max(s.maxNnzPerRow, pop);
+        Index block_end = 0; // first column past the current run's block
+        for (std::size_t k = k0; k < k1; ++k) {
+            const Index c = ci[k];
+            if (c >= block_end) {
+                ++blocks;
+                block_end = (c / block + 1) * block;
+            }
+            const auto bit = static_cast<std::uint64_t>(c - r - lo);
+            diags[bit / 64] |= std::uint64_t(1) << (bit % 64);
+        }
     }
     var /= static_cast<double>(s.rows);
     s.rowCv = s.avgNnzPerRow > 0
         ? std::sqrt(var) / s.avgNnzPerRow
         : 0.0;
 
-    s.numDiagonals = static_cast<Index>(diag_pop.size());
+    // Every set bit is an occupied diagonal; its capacity is the
+    // diagonal's length.
     Index diag_capacity = 0;
-    for (const auto& [off, pop] : diag_pop) {
-        (void)pop;
-        const Index len = off >= 0 ? std::min(s.rows, s.cols - off)
-                                   : std::min(s.cols, s.rows + off);
-        diag_capacity += std::max<Index>(len, 0);
+    for (std::size_t w = 0; w < diags.size(); ++w) {
+        s.numDiagonals += std::popcount(diags[w]);
+        for (std::uint64_t bits = diags[w]; bits != 0; bits &= bits - 1) {
+            const Index off = lo + static_cast<Index>(w * 64) +
+                std::countr_zero(bits);
+            diag_capacity += off >= 0 ? std::min(s.rows, s.cols - off)
+                                      : std::min(s.cols, s.rows + off);
+        }
     }
-    s.diagonalFill = diag_capacity > 0
-        ? static_cast<double>(s.nnz) / static_cast<double>(diag_capacity)
-        : 0.0;
+    s.diagonalFill = static_cast<double>(s.nnz) /
+        static_cast<double>(diag_capacity);
 
     s.blockLocality = static_cast<double>(s.nnz) /
-        (static_cast<double>(blocks.size()) * static_cast<double>(block));
+        (static_cast<double>(blocks) * static_cast<double>(block));
     return s;
+}
+
+StructureStats
+analyzeStructure(const fmt::CooMatrix& coo, Index block)
+{
+    return analyzeStructure(fmt::CsrMatrix::fromCoo(coo), block);
 }
 
 Format

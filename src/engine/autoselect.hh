@@ -20,9 +20,9 @@
  * Ownership/threading contract: free functions over borrowed
  * inputs, no shared state — safe to call concurrently (the probe
  * gauges are atomic metrics). For mutable served matrices,
- * engine/profile.hh maintains the same stats incrementally and
  * chooseFormatSticky() adds the hysteresis the drift detector
- * needs, gated by a ReselectPolicy.
+ * needs, gated by a ReselectPolicy on the churn since the last
+ * decision; the detector re-profiles only when that gate opens.
  */
 
 #ifndef SMASH_ENGINE_AUTOSELECT_HH
@@ -54,10 +54,20 @@ struct StructureStats
 };
 
 /**
- * One pass over the COO entries. @p block is the aligned row-segment
+ * One linear pass over a CSR matrix, with no hash table: row
+ * populations come from the row pointers, touched blocks are runs
+ * of equal col / @p block within each sorted row, and occupied
+ * diagonals are bits of one transient bitmap sized to their range
+ * (its only heap allocation). @p block is the aligned row-segment
  * size used for the locality-of-sparsity measure (the paper sweeps
- * NZA block sizes; 8 matches the default SMASH hierarchy).
+ * NZA block sizes; 8 matches the default SMASH hierarchy). Stored
+ * explicit zeros count as entries.
  */
+StructureStats analyzeStructure(const fmt::CsrMatrix& m,
+                                Index block = 8);
+
+/** analyzeStructure() of a canonical COO matrix (converted to CSR
+ *  first). */
 StructureStats analyzeStructure(const fmt::CooMatrix& coo,
                                 Index block = 8);
 
@@ -157,6 +167,11 @@ struct FormatDecision
      *  the timed reps); 0 unless decidedBy is kProbe. */
     double csrNs = 0;
     double pickNs = 0;
+    /** The profile the rules read for this decision: at
+     *  registration, or at the latest drift check that kept or
+     *  moved the format. All zero when the caller chose the format
+     *  and no drift check has run since. */
+    StructureStats stats;
 };
 
 /**

@@ -138,49 +138,6 @@ SparseMatrixAny::fromCsr(const fmt::CsrMatrix& csr, Format target,
     return fromCoo(csr.toCoo(), target, opts);
 }
 
-fmt::CsrMatrix&
-SparseMatrixAny::mutableCsr()
-{
-    auto* csr = std::get_if<fmt::CsrMatrix>(&holder_);
-    SMASH_CHECK(csr != nullptr,
-                "the mutation API applies to CSR master copies; "
-                "this matrix holds ",
-                toString(format()));
-    return *csr;
-}
-
-MutationStats
-SparseMatrixAny::applyUpdates(const fmt::CooMatrix& deltas,
-                              const StructureListener& listener)
-{
-    const MutationStats stats =
-        eng::applyUpdates(mutableCsr(), deltas, listener);
-    // Partition plans balance on the structure only: a value-only
-    // update leaves them valid, a structural change retires them.
-    if (stats.structural() > 0)
-        plans_->invalidate();
-    return stats;
-}
-
-MutationStats
-SparseMatrixAny::replaceRows(const std::vector<Index>& rows,
-                             const fmt::CooMatrix& replacement,
-                             const StructureListener& listener)
-{
-    const MutationStats stats =
-        eng::replaceRows(mutableCsr(), rows, replacement, listener);
-    if (stats.structural() > 0)
-        plans_->invalidate();
-    return stats;
-}
-
-MutationStats
-SparseMatrixAny::scaleValues(Value factor)
-{
-    // Structure (and therefore every cached plan) is preserved.
-    return eng::scaleValues(mutableCsr(), factor);
-}
-
 Format
 SparseMatrixAny::format() const
 {

@@ -13,21 +13,19 @@
  *
  * SparseMatrixAny also owns a PlanCache (engine/plan.hh): the
  * partition plans the parallel dispatch drivers compute for it are
- * memoized per instance and invalidated by structural mutations,
- * so steady-state re-dispatch over a long-lived matrix skips the
- * per-call partitioning setup. MatrixRef carries a pointer to that
- * cache when built from a SparseMatrixAny (or explicitly attached
- * via withPlans()); refs built from bare concrete matrices carry
- * none and the drivers fall back to per-call partitioning.
+ * memoized per instance, so steady-state re-dispatch over a
+ * long-lived matrix skips the per-call partitioning setup. A held
+ * matrix is immutable: content changes build a new SparseMatrixAny
+ * (and with it a fresh cache) from the mutated CSR master.
+ * MatrixRef carries a pointer to that cache when built from a
+ * SparseMatrixAny (or explicitly attached via withPlans()); refs
+ * built from bare concrete matrices carry none and the drivers fall
+ * back to per-call partitioning.
  *
  * Ownership/threading contract: SparseMatrixAny owns its storage
  * outright; MatrixRef borrows and must not outlive the matrix it
  * views. Neither is internally synchronized — concurrent reads are
- * fine (the embedded PlanCache synchronizes itself), but the
- * mutation members (applyUpdates/replaceRows/scaleValues, CSR
- * holders only) require external serialization against readers,
- * which the serving registry provides via its epoch/shared_ptr
- * swap discipline.
+ * fine (the embedded PlanCache synchronizes itself).
  */
 
 #ifndef SMASH_ENGINE_MATRIX_ANY_HH
@@ -39,7 +37,6 @@
 #include "common/logging.hh"
 #include "core/smash_matrix.hh"
 #include "engine/format.hh"
-#include "engine/mutate.hh"
 #include "engine/plan.hh"
 #include "formats/bcsr_matrix.hh"
 #include "formats/coo_matrix.hh"
@@ -153,9 +150,8 @@ class SparseMatrixAny
         : holder_(std::move(m)), plans_(std::make_shared<PlanCache>())
     {}
 
-    // Copies get a fresh, empty plan cache: sharing one would let a
-    // later structural mutation of either copy poison the other's
-    // key space (same (kind, chunks) key, different structure).
+    // Copies get a fresh, empty plan cache: each instance owns its
+    // own, so a copy's lifetime never depends on the original's.
     SparseMatrixAny(const SparseMatrixAny& o)
         : holder_(o.holder_), plans_(std::make_shared<PlanCache>())
     {}
@@ -203,27 +199,11 @@ class SparseMatrixAny
         return ref().as<T>();
     }
 
-    /**
-     * Mutation API — valid only while holding a CSR matrix (the
-     * canonical master-copy format of served matrices; fatal for
-     * any other holder). Semantics are those of engine/mutate.hh;
-     * callers must serialize against concurrent readers.
-     */
-    MutationStats applyUpdates(const fmt::CooMatrix& deltas,
-                               const StructureListener& listener = {});
-    MutationStats replaceRows(const std::vector<Index>& rows,
-                              const fmt::CooMatrix& replacement,
-                              const StructureListener& listener = {});
-    MutationStats scaleValues(Value factor);
-
     /** The memoized partition plans of this matrix (stats/tests;
      *  the dispatch layer reaches it through ref().plans()). */
     PlanCache& planCache() const { return *plans_; }
 
   private:
-    /** The held CSR master, checked (mutation API plumbing). */
-    fmt::CsrMatrix& mutableCsr();
-
     std::variant<fmt::CooMatrix, fmt::CsrMatrix, fmt::CscMatrix,
                  fmt::BcsrMatrix, fmt::EllMatrix, fmt::DiaMatrix,
                  fmt::DenseMatrix, core::SmashMatrix>

@@ -11,15 +11,6 @@ namespace smash::eng
 namespace
 {
 
-/** Notify @p listener of one structural change, if present. */
-void
-notify(const StructureListener& listener, Index row, Index col,
-       bool inserted)
-{
-    if (listener)
-        listener(row, col, inserted);
-}
-
 /** Rebuild @p m from freshly merged triples (validates invariants). */
 void
 adopt(fmt::CsrMatrix& m, std::vector<fmt::CsrIndex> row_ptr,
@@ -32,8 +23,7 @@ adopt(fmt::CsrMatrix& m, std::vector<fmt::CsrIndex> row_ptr,
 } // namespace
 
 MutationStats
-applyUpdates(fmt::CsrMatrix& m, const fmt::CooMatrix& deltas,
-             const StructureListener& listener)
+applyUpdates(fmt::CsrMatrix& m, const fmt::CooMatrix& deltas)
 {
     SMASH_CHECK(deltas.isCanonical(),
                 "applyUpdates requires canonical COO deltas");
@@ -80,7 +70,6 @@ applyUpdates(fmt::CsrMatrix& m, const fmt::CooMatrix& deltas,
                 // cancellation.
                 const Value sum = values[k] + ds[d].value;
                 if (sum == Value(0)) {
-                    notify(listener, r, Index(col_ind[k]), false);
                     ++stats.removed;
                 } else {
                     new_col.push_back(col_ind[k]);
@@ -94,7 +83,6 @@ applyUpdates(fmt::CsrMatrix& m, const fmt::CooMatrix& deltas,
                 // canonicalization already dropped zero values).
                 new_col.push_back(static_cast<fmt::CsrIndex>(ds[d].col));
                 new_val.push_back(ds[d].value);
-                notify(listener, r, ds[d].col, true);
                 ++stats.inserted;
                 ++d;
             }
@@ -108,8 +96,7 @@ applyUpdates(fmt::CsrMatrix& m, const fmt::CooMatrix& deltas,
 
 MutationStats
 replaceRows(fmt::CsrMatrix& m, const std::vector<Index>& rows,
-            const fmt::CooMatrix& replacement,
-            const StructureListener& listener)
+            const fmt::CooMatrix& replacement)
 {
     SMASH_CHECK(replacement.isCanonical(),
                 "replaceRows requires canonical COO replacement rows");
@@ -172,7 +159,6 @@ replaceRows(fmt::CsrMatrix& m, const std::vector<Index>& rows,
             while (k < k1 || dn < d) {
                 const Index sc = k < k1 ? Index(col_ind[k]) : Index(-1);
                 if (k < k1 && (dn >= d || sc < rs[dn].col)) {
-                    notify(listener, r, sc, false);
                     ++stats.removed;
                     ++k;
                 } else if (k < k1 && sc == rs[dn].col) {
@@ -185,7 +171,6 @@ replaceRows(fmt::CsrMatrix& m, const std::vector<Index>& rows,
                     new_col.push_back(
                         static_cast<fmt::CsrIndex>(rs[dn].col));
                     new_val.push_back(rs[dn].value);
-                    notify(listener, r, rs[dn].col, true);
                     ++stats.inserted;
                     ++dn;
                 }

@@ -6,10 +6,10 @@
  * Served matrices drift: embeddings get refreshed, graph edges
  * appear and disappear, rows are republished wholesale. These
  * functions apply such updates to the CSR "master" representation
- * that owns the matrix content, reporting every structural change
- * (a coordinate gaining or losing a stored entry) to an optional
- * listener so an incremental StructureTracker can follow the drift
- * without rescanning the matrix (see engine/profile.hh).
+ * that owns the matrix content, and count the structural changes
+ * (coordinates gaining or losing a stored entry) each one made:
+ * MutationStats::structural() is the churn the serving layer's
+ * drift gate accumulates before it re-profiles the master.
  *
  * Ownership/threading contract: the functions mutate @p m on the
  * calling thread and are not internally synchronized — callers
@@ -22,7 +22,6 @@
 #ifndef SMASH_ENGINE_MUTATE_HH
 #define SMASH_ENGINE_MUTATE_HH
 
-#include <functional>
 #include <vector>
 
 #include "formats/coo_matrix.hh"
@@ -38,7 +37,8 @@ struct MutationStats
     Index removed = 0;  //!< entries that cancelled or were dropped
     Index updated = 0;  //!< existing entries whose value changed
 
-    /** Changes that alter the sparsity structure (not just values). */
+    /** Changes that alter the sparsity structure (not just values;
+     *  value-only updates cannot move a format boundary). */
     Index
     structural() const
     {
@@ -47,22 +47,13 @@ struct MutationStats
 };
 
 /**
- * Observer of structural changes: called as (row, col, inserted)
- * for every coordinate that gains (inserted = true) or loses
- * (inserted = false) a stored entry. Value-only updates are not
- * reported — they cannot move a format boundary.
- */
-using StructureListener = std::function<void(Index, Index, bool)>;
-
-/**
  * A(r, c) += v for every delta entry (the COO-delta update of the
  * serving layer). New coordinates are inserted; entries whose sum
  * cancels to exactly zero are removed from the structure. @p deltas
  * must be canonical and share the matrix shape.
  */
 MutationStats applyUpdates(fmt::CsrMatrix& m,
-                           const fmt::CooMatrix& deltas,
-                           const StructureListener& listener = nullptr);
+                           const fmt::CooMatrix& deltas);
 
 /**
  * Replace the full content of every row in @p rows with the entries
@@ -72,14 +63,13 @@ MutationStats applyUpdates(fmt::CsrMatrix& m,
  */
 MutationStats replaceRows(fmt::CsrMatrix& m,
                           const std::vector<Index>& rows,
-                          const fmt::CooMatrix& replacement,
-                          const StructureListener& listener = nullptr);
+                          const fmt::CooMatrix& replacement);
 
 /**
  * Multiply every stored value by @p factor. The structure is
  * preserved — scaling by zero leaves explicit zeros rather than
- * ejecting entries (fromRaw() semantics), so no structural changes
- * are ever reported.
+ * ejecting entries (fromRaw() semantics), so it never makes a
+ * structural change.
  */
 MutationStats scaleValues(fmt::CsrMatrix& m, Value factor);
 

@@ -14,18 +14,17 @@
  * plan computed on the first call.
  *
  * Plans depend only on the matrix *structure* (the prefix arrays /
- * bitmap population), never on values, so they survive value-only
- * mutations. SparseMatrixAny owns one cache per instance and
- * invalidates it on structural mutation; the serving registry's
- * epoch swaps produce fresh SparseMatrixAny objects (and therefore
- * fresh, empty caches), so a re-encoded matrix can never serve a
- * stale plan.
+ * bitmap population), never on values. SparseMatrixAny owns one
+ * cache per instance and never changes its structure; the serving
+ * layer's mutations and re-encodes produce fresh SparseMatrixAny
+ * objects (and therefore fresh, empty caches), so a mutated or
+ * re-encoded matrix can never serve a stale plan.
  *
  * Ownership/threading contract: PlanCache is internally
  * synchronized — concurrent get() calls are safe and a cache hit
  * performs no heap allocation. get() returns shared_ptr snapshots:
  * a reader holds whatever plan it fetched for the duration of its
- * dispatch even if invalidate() drops the cache entry concurrently.
+ * dispatch.
  * Racing cold get()s may build the same plan twice; the first
  * insert wins and the duplicate is discarded (plans for one key are
  * deterministic, so either copy is correct).
@@ -138,15 +137,6 @@ class PlanCache
         else
             ++hits_;
         return it->second;
-    }
-
-    /** Drop every cached plan (structural mutation). In-flight
-     *  readers keep the shared_ptr they already fetched. */
-    void
-    invalidate()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        plans_.clear();
     }
 
     /** Plans built so far (cold calls; includes discarded racing

@@ -114,6 +114,13 @@ Pipeline::postPrepare(const QueueKey& key, Request request,
     // shared_ptr: promises are move-only but the pool's task type
     // (std::function) requires copyable callables.
     auto req = std::make_shared<Request>(std::move(request));
+    {
+        // The task counts as in flight until its noteProgress()
+        // returns: the hand-off lets the request complete, and
+        // drain() must not let the pipeline die under the task.
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++inflight_;
+    }
     pool_.post([this, key, req, &batcher] {
         try {
             // Encode/convert stage: first touch converts, later
@@ -138,6 +145,7 @@ Pipeline::postPrepare(const QueueKey& key, Request request,
             failOne(*req, Status(StatusCode::kInternal,
                                  "unknown prepare failure"));
         }
+        leave(1);
     });
 }
 

@@ -16,8 +16,7 @@ MatrixRegistry::add(const std::string& name, fmt::CooMatrix coo,
 {
     if (!coo.isCanonical())
         coo.canonicalize();
-    // §7.2.3-style structure analysis, run exactly once per band
-    // (the tracker's one-pass scan doubles as the initial profile),
+    // §7.2.3-style structure analysis, one linear pass per band,
     // and its pick confirmed by timing it against CSR.
     auto slot = std::make_unique<Slot>(
         std::make_shared<shard::ShardedMatrix>(

@@ -15,10 +15,11 @@
  *
  * Served matrices drift. The mutation API (applyUpdates /
  * replaceRows / scaleValues) routes deltas into the stack, which
- * invalidates the touched encodings and feeds each band's
- * incremental StructureTracker. When enough structure has changed
- * (ReselectPolicy::minChangedFraction) and a band's profile has
- * crossed a §7.2.3 format boundary *decisively* (chooseFormatSticky's
+ * invalidates the touched encodings and adds each band's structural
+ * changes to its churn count. When enough structure has changed
+ * (ReselectPolicy::minChangedFraction), the band is re-profiled in
+ * one pass over its CSR master; when that profile has crossed a
+ * §7.2.3 format boundary *decisively* (chooseFormatSticky's
  * hysteresis margin), the registry schedules one re-encode: through
  * the installed hook when a serving pipeline is attached (async, on
  * the shared ThreadPool), inline otherwise. runReencode() runs the
@@ -72,9 +73,10 @@ using ReselectPolicy = eng::ReselectPolicy;
 struct MatrixInfo
 {
     eng::Format chosen;            //!< shard 0's current format
-    /** Why `chosen`: caller, rules or probe, with the probe's
-     *  ns/SpMV for CSR and for the rules' pick (shard 0's; see
-     *  ShardedMatrix::shardInfo() for the other shards). */
+    /** Why `chosen`: caller, rules or probe, with the profile the
+     *  rules read and the probe's ns/SpMV for CSR and for the
+     *  rules' pick (shard 0's; see ShardedMatrix::shardInfo() for
+     *  the other shards). */
     eng::FormatDecision decision;
     Index rows = 0;
     Index cols = 0;
@@ -187,7 +189,7 @@ class MatrixRegistry
                               fmt::CooMatrix replacement);
     UpdateOutcome scaleValues(const std::string& name, Value factor);
 
-    /** Shard 0's incrementally maintained structural profile. */
+    /** Shard 0's structural profile of its current content. */
     eng::StructureStats profile(const std::string& name) const;
 
     /**

@@ -147,9 +147,9 @@ ShardedMatrix::ShardedMatrix(std::string name, fmt::CsrMatrix master,
         shards_.front()->master = std::move(master);
         settleFormat(*shards_.front(), format);
     } else {
-        // Slice every band on a thread pinned to its CPU subset so
-        // the slice and its profile are first-touched on the
-        // shard's node.
+        // Slice and profile every band on a thread pinned to its
+        // CPU subset so the slice is first-touched on the shard's
+        // node.
         std::vector<Index> all(static_cast<std::size_t>(k));
         for (Index i = 0; i < k; ++i)
             all[static_cast<std::size_t>(i)] = i;
@@ -170,12 +170,17 @@ ShardedMatrix::ShardedMatrix(std::string name, fmt::CsrMatrix master,
 void
 ShardedMatrix::settleFormat(Shard& sh, std::optional<eng::Format> format)
 {
-    sh.profile = eng::StructureTracker(sh.master);
-    sh.decision = format
-        ? eng::FormatDecision{*format, *format, eng::DecidedBy::kCaller}
-        : eng::confirmFormat(sh.master,
-                             eng::chooseFormat(sh.profile.stats()),
-                             build_);
+    if (format) {
+        sh.decision.format = *format;
+        sh.decision.rulePick = *format;
+        sh.decision.decidedBy = eng::DecidedBy::kCaller;
+    } else {
+        const eng::StructureStats stats =
+            eng::analyzeStructure(sh.master);
+        sh.decision = eng::confirmFormat(
+            sh.master, eng::chooseFormat(stats), build_);
+        sh.decision.stats = stats;
+    }
     sh.pendingTarget = sh.decision.format;
 }
 
@@ -257,7 +262,7 @@ ShardedMatrix::profile(Index shard) const
 {
     const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
     std::lock_guard<std::mutex> lock(sh.mutex);
-    return sh.profile.stats();
+    return eng::analyzeStructure(sh.master);
 }
 
 std::uint64_t
@@ -508,11 +513,8 @@ ShardedMatrix::mutateShard(Index shard,
 {
     Shard& sh = *shards_[static_cast<std::size_t>(shard)];
     std::lock_guard<std::mutex> lock(sh.mutex);
-    eng::StructureTracker& tracker = sh.profile;
-    const eng::MutationStats st =
-        op(sh.master, [&tracker](Index r, Index c, bool inserted) {
-            tracker.onStructureChange(r, c, inserted);
-        });
+    const eng::MutationStats st = op(sh.master);
+    sh.churn += st.structural();
     out.stats.inserted += st.inserted;
     out.stats.removed += st.removed;
     out.stats.updated += st.updated;
@@ -528,27 +530,29 @@ ShardedMatrix::mutateShard(Index shard,
     sh.encoding.reset();
     if (st.structural() == 0 || !policy.enabled || sh.reencodePending)
         return;
-    // Cheap gate first: don't even snapshot the profile until the
-    // band's accumulated structural churn is worth a decision (a
-    // band can cross a boundary long before the whole matrix would).
-    const Index changed = sh.profile.changedSinceRebase();
+    // Cheap gate first: don't profile the band until its
+    // accumulated structural churn is worth a decision (a band can
+    // cross a boundary long before the whole matrix would).
     const Index need = std::max(
         policy.minChanged,
         static_cast<Index>(policy.minChangedFraction *
                            static_cast<double>(std::max<Index>(
-                               1, sh.profile.nnz()))));
-    if (changed < need)
+                               1, sh.master.nnz()))));
+    if (sh.churn < need)
         return;
+    const eng::StructureStats stats = eng::analyzeStructure(sh.master);
     const eng::Format target = eng::chooseFormatSticky(
-        sh.profile.stats(), sh.decision.format, policy.margin);
+        stats, sh.decision.format, policy.margin);
     if (target == sh.decision.format) {
         // Inside the hysteresis band: stay put, and restart the
         // drift accumulation so the next check needs fresh churn.
-        sh.profile.rebase();
+        sh.decision.stats = stats;
+        sh.churn = 0;
         return;
     }
     sh.reencodePending = true;
     sh.pendingTarget = target;
+    sh.pendingStats = stats;
     if (!out.reencodeScheduled) {
         out.reencodeScheduled = true;
         out.target = target;
@@ -586,8 +590,8 @@ ShardedMatrix::applyUpdates(const fmt::CooMatrix& deltas,
         for (; i < es.size() && es[i].row < sh.rowEnd; ++i)
             local.add(es[i].row - sh.rowBegin, es[i].col, es[i].value);
         local.canonicalize();
-        mutateShard(k, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
-            return eng::applyUpdates(m, local, cb);
+        mutateShard(k, policy, out, [&](fmt::CsrMatrix& m) {
+            return eng::applyUpdates(m, local);
         });
     }
     settleTarget(out);
@@ -609,8 +613,8 @@ ShardedMatrix::replaceRows(const std::vector<Index>& rows,
         // One band takes the replacement as given: the band copy
         // below would hold a second copy of a whole-matrix
         // replacement at the merge's peak.
-        mutateShard(0, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
-            return eng::replaceRows(m, rows, replacement, cb);
+        mutateShard(0, policy, out, [&](fmt::CsrMatrix& m) {
+            return eng::replaceRows(m, rows, replacement);
         });
         settleTarget(out);
         return out;
@@ -641,8 +645,8 @@ ShardedMatrix::replaceRows(const std::vector<Index>& rows,
         for (Index& r : local_rows)
             r -= sh.rowBegin;
         local.canonicalize();
-        mutateShard(i, policy, out, [&](fmt::CsrMatrix& m, auto cb) {
-            return eng::replaceRows(m, local_rows, local, cb);
+        mutateShard(i, policy, out, [&](fmt::CsrMatrix& m) {
+            return eng::replaceRows(m, local_rows, local);
         });
     }
     settleTarget(out);
@@ -656,7 +660,7 @@ ShardedMatrix::scaleValues(Value factor)
     // runs and the policy is moot.
     ShardMutationOutcome out;
     for (Index i = 0; i < shardCount(); ++i)
-        mutateShard(i, {}, out, [&](fmt::CsrMatrix& m, auto) {
+        mutateShard(i, {}, out, [&](fmt::CsrMatrix& m) {
             return eng::scaleValues(m, factor);
         });
     settleTarget(out);
@@ -686,6 +690,7 @@ ShardedMatrix::runPendingReencodes()
             fmt::CsrMatrix snapshot;
             eng::Format current;
             eng::Format target;
+            eng::StructureStats stats;
             std::uint64_t epoch;
             {
                 std::lock_guard<std::mutex> lock(sh.mutex);
@@ -696,6 +701,7 @@ ShardedMatrix::runPendingReencodes()
                 snapshot = sh.master;
                 current = sh.decision.format;
                 target = sh.pendingTarget;
+                stats = sh.pendingStats;
                 epoch = sh.epoch;
             }
             // Confirm the rules' target by timing before paying for
@@ -703,14 +709,15 @@ ShardedMatrix::runPendingReencodes()
             // CSR shard the sticky rules would send back to their
             // pick) ends the re-encode: no swap, no conversion, and
             // the drift gate starts over.
-            const eng::FormatDecision decision =
+            eng::FormatDecision decision =
                 eng::confirmFormat(snapshot, target, build_);
+            decision.stats = stats;
             eng::publishProbe(name_, i, decision);
             if (decision.format == current) {
                 std::lock_guard<std::mutex> lock(sh.mutex);
                 sh.decision = decision;
                 sh.reencodePending = false;
-                sh.profile.rebase();
+                sh.churn = 0;
                 done = true;
                 break;
             }
@@ -729,7 +736,7 @@ ShardedMatrix::runPendingReencodes()
                 ++sh.conversions;
                 ++sh.reselects;
                 sh.reencodePending = false;
-                sh.profile.rebase();
+                sh.churn = 0;
                 done = true;
                 ++swapped;
             }

@@ -6,11 +6,14 @@
  * registerSharded() K>1.
  *
  * Each shard owns the whole per-matrix lifecycle — a CSR master
- * slice (rows re-indexed to the shard, columns global), an
- * incremental StructureTracker, a §7.2.3 format decision with
- * chooseFormatSticky hysteresis (confirmed by the engine's timing
- * probe, eng::confirmFormat(), at construction and at every drift
- * re-encode), a lazily built SparseMatrixAny encoding (whose
+ * slice (rows re-indexed to the shard, columns global), a churn
+ * counter of the structural changes since its last format decision,
+ * a §7.2.3 format decision with chooseFormatSticky hysteresis
+ * (profiled by one eng::analyzeStructure() pass over the slice at
+ * construction and whenever the churn gate opens, and confirmed by
+ * the engine's timing probe, eng::confirmFormat(), at construction
+ * and at every drift re-encode), a lazily built SparseMatrixAny
+ * encoding (whose
  * embedded PlanCache is therefore per-shard), an epoch counter,
  * and a CPU subset derived from the NUMA topology probe
  * (common/numa_topology.hh). A drifting matrix whose bands diverge
@@ -43,7 +46,7 @@
  * requests.
  *
  * Threading: all entry points are thread-safe. Each shard has its
- * own mutex guarding its master/tracker/encoding; compute paths
+ * own mutex guarding its master/churn/encoding; compute paths
  * grab the encoding shared_ptr and run unlocked (readers finish on
  * the epoch they hold while a re-encode swaps underneath). Mutations
  * lock only the shards their deltas touch. Whole-matrix consistency
@@ -65,7 +68,6 @@
 #include "engine/autoselect.hh"
 #include "engine/matrix_any.hh"
 #include "engine/mutate.hh"
-#include "engine/profile.hh"
 #include "formats/coo_matrix.hh"
 #include "formats/csr_matrix.hh"
 #include "formats/dense_matrix.hh"
@@ -85,7 +87,8 @@ struct ShardInfo
     Index rowEnd = 0;     //!< global last row (exclusive)
     Index nnz = 0;
     eng::Format chosen = eng::Format::kCsr;
-    eng::FormatDecision decision; //!< why `chosen` (rules or probe)
+    /** Why `chosen`: rules or probe, and the profile they read. */
+    eng::FormatDecision decision;
     int node = 0;              //!< NUMA node the shard maps to
     std::vector<int> cpus;     //!< CPU subset used for first-touch
     std::uint64_t epoch = 0;   //!< bumped by every mutation landing here
@@ -149,7 +152,8 @@ class ShardedMatrix
     std::vector<eng::Format> cachedFormats() const;
     /** Shard 0's format (the registry's "primary" for info()). */
     eng::Format primaryFormat() const;
-    /** Shard @p shard's incremental §7.2.3 profile. */
+    /** Shard @p shard's §7.2.3 profile, computed now from its
+     *  master (one linear pass). */
     eng::StructureStats profile(Index shard) const;
 
     std::uint64_t epoch() const;      //!< summed shard epochs
@@ -218,8 +222,12 @@ class ShardedMatrix
     /**
      * Mutation API: deltas are routed to the shard that owns each
      * row; only touched shards
-     * lock, bump their epoch, drop their encoding, and run the
-     * drift detector against @p policy. The caller schedules
+     * lock, bump their epoch, drop their encoding, add their
+     * structural changes to the band's churn, and run the drift
+     * gate against @p policy: once the churn reaches
+     * max(minChanged, minChangedFraction x band nnz), the band is
+     * re-profiled and chooseFormatSticky() decides (a decision that
+     * keeps the format restarts the churn). The caller schedules
      * runPendingReencodes() when the outcome says a re-encode was
      * crossed (the registry fires its async hook). @p deltas and
      * @p replacement must be canonical.
@@ -238,7 +246,7 @@ class ShardedMatrix
      * intervened (epoch check; a few retries chase a busy shard,
      * then the pending flag clears so later drift can re-trigger).
      * A probe that keeps the current format clears the pending flag
-     * and rebases the profile without a swap. Returns the number of
+     * and restarts the churn without a swap. Returns the number of
      * shards swapped.
      */
     int runPendingReencodes();
@@ -251,9 +259,12 @@ class ShardedMatrix
         int node = 0;
         std::vector<int> cpus;
         fmt::CsrMatrix master; //!< local rows [0, rowEnd-rowBegin)
-        eng::StructureTracker profile;
+        /** Structural changes since the last format decision. */
+        Index churn = 0;
         eng::FormatDecision decision; //!< format served, and why
         eng::Format pendingTarget = eng::Format::kCsr;
+        /** The profile the drift gate read to pick pendingTarget. */
+        eng::StructureStats pendingStats;
         EncodingPtr encoding; //!< null until built / after a mutation
         std::uint64_t epoch = 0;
         std::size_t conversions = 0;
@@ -262,12 +273,12 @@ class ShardedMatrix
         mutable std::mutex mutex;
     };
 
-    /** Profile @p sh's master and settle its format (explicit, or
-     *  the rules' pick confirmed by the probe). */
+    /** Settle @p sh's format: explicit, or the rules' pick on a
+     *  profile of its master, confirmed by the probe. */
     void settleFormat(Shard& sh, std::optional<eng::Format> format);
-    /** Apply @p op (master, structure observer) -> MutationStats to
-     *  shard @p shard under its lock, then run the mutation tail:
-     *  epoch bump, encoding drop, drift detection. */
+    /** Apply @p op (master) -> MutationStats to shard @p shard
+     *  under its lock, then run the mutation tail: epoch bump,
+     *  encoding drop, churn count, drift gate. */
     template <typename Op>
     void mutateShard(Index shard, const eng::ReselectPolicy& policy,
                      ShardMutationOutcome& out, const Op& op);

@@ -2,8 +2,9 @@
  * @file
  * Tests for the update-and-reselect subsystem: CSR master mutation
  * (COO deltas, row replacement, value scaling) against dense
- * oracles, the incremental StructureTracker against the full-scan
- * analyzeStructure(), hysteresis in chooseFormatSticky(), and the
+ * oracles, the one-pass analyzeStructure() against a brute-force
+ * profile, hysteresis in chooseFormatSticky(), the drift gate's
+ * churn count, and the
  * registry/session drift path — drift deltas trigger exactly one
  * re-encode, results submitted across the swap stay bit-identical
  * (all test values are dyadic rationals, so every summation order
@@ -17,22 +18,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/autoselect.hh"
 #include "engine/dispatch.hh"
 #include "engine/mutate.hh"
-#include "engine/profile.hh"
 #include "formats/dense_matrix.hh"
 #include "obs/metrics.hh"
 #include "serve/session.hh"
+#include "shard/sharded_matrix.hh"
 #include "workloads/matrix_gen.hh"
 
 namespace smash
@@ -208,37 +214,149 @@ TEST(Mutate, ScaleValuesPreservesStructure)
     EXPECT_EQ(m.nnz(), nnz);
 }
 
-TEST(Profile, TrackerMatchesFullScanAfterMutations)
+/**
+ * The §7.2.3 profile by brute force: std::sets of the occupied
+ * diagonals and (row, block) pairs, and the StructureStats formulas
+ * over them (row populations summed in row order).
+ */
+eng::StructureStats
+bruteForceProfile(const fmt::CsrMatrix& m, Index block)
 {
-    const fmt::CooMatrix base = wl::genPowerLaw(64, 64, 700, 1.1, 17);
-    fmt::CsrMatrix m = fmt::CsrMatrix::fromCoo(base);
-    eng::StructureTracker tracker(m);
+    eng::StructureStats s;
+    s.rows = m.rows();
+    s.cols = m.cols();
+    s.nnz = m.nnz();
+    s.localityBlock = block;
+    if (s.rows == 0 || s.cols == 0 || s.nnz == 0)
+        return s;
+    std::vector<Index> pop(static_cast<std::size_t>(s.rows), 0);
+    std::set<Index> diags;
+    std::set<std::pair<Index, Index>> blocks;
+    for (Index r = 0; r < s.rows; ++r) {
+        for (auto k = m.rowPtr()[static_cast<std::size_t>(r)];
+             k < m.rowPtr()[static_cast<std::size_t>(r) + 1]; ++k) {
+            const Index c = m.colInd()[static_cast<std::size_t>(k)];
+            ++pop[static_cast<std::size_t>(r)];
+            diags.insert(c - r);
+            blocks.insert({r, c / block});
+        }
+    }
+    s.density = static_cast<double>(s.nnz) /
+        (static_cast<double>(s.rows) * static_cast<double>(s.cols));
+    s.avgNnzPerRow =
+        static_cast<double>(s.nnz) / static_cast<double>(s.rows);
+    double var = 0;
+    for (Index p : pop) {
+        const double d = static_cast<double>(p) - s.avgNnzPerRow;
+        var += d * d;
+        s.maxNnzPerRow = std::max(s.maxNnzPerRow, p);
+    }
+    var /= static_cast<double>(s.rows);
+    s.rowCv = std::sqrt(var) / s.avgNnzPerRow;
+    s.numDiagonals = static_cast<Index>(diags.size());
+    Index capacity = 0;
+    for (Index off : diags)
+        capacity += off >= 0 ? std::min(s.rows, s.cols - off)
+                             : std::min(s.cols, s.rows + off);
+    s.diagonalFill =
+        static_cast<double>(s.nnz) / static_cast<double>(capacity);
+    s.blockLocality = static_cast<double>(s.nnz) /
+        (static_cast<double>(blocks.size()) * static_cast<double>(block));
+    return s;
+}
 
-    const auto listener = [&tracker](Index r, Index c, bool inserted) {
-        tracker.onStructureChange(r, c, inserted);
+void
+expectSameProfile(const eng::StructureStats& got,
+                  const eng::StructureStats& want,
+                  const std::string& what)
+{
+    EXPECT_EQ(got.rows, want.rows) << what;
+    EXPECT_EQ(got.cols, want.cols) << what;
+    EXPECT_EQ(got.nnz, want.nnz) << what;
+    EXPECT_EQ(got.maxNnzPerRow, want.maxNnzPerRow) << what;
+    EXPECT_EQ(got.numDiagonals, want.numDiagonals) << what;
+    EXPECT_EQ(got.localityBlock, want.localityBlock) << what;
+    // Same formulas over the same integer counts in the same order:
+    // the doubles agree to the bit, so the rules decide alike.
+    EXPECT_EQ(got.density, want.density) << what;
+    EXPECT_EQ(got.avgNnzPerRow, want.avgNnzPerRow) << what;
+    EXPECT_EQ(got.rowCv, want.rowCv) << what;
+    EXPECT_EQ(got.diagonalFill, want.diagonalFill) << what;
+    EXPECT_EQ(got.blockLocality, want.blockLocality) << what;
+}
+
+/** A seeded rows x cols matrix with about @p fill of its cells set
+ *  (so sparse shapes keep empty rows). */
+fmt::CooMatrix
+randomShape(Index rows, Index cols, double fill, std::uint64_t seed)
+{
+    fmt::CooMatrix coo(rows, cols);
+    std::uint64_t state = seed * 0x9E3779B97F4A7C15ull + 1;
+    for (Index r = 0; r < rows; ++r) {
+        for (Index c = 0; c < cols; ++c) {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if (static_cast<double>(state % 10000) < fill * 10000)
+                coo.add(r, c, Value(1) + Value(c % 4) * Value(0.25));
+        }
+    }
+    coo.canonicalize();
+    return coo;
+}
+
+TEST(Profile, CsrPassMatchesBruteForce)
+{
+    std::vector<std::pair<std::string, fmt::CsrMatrix>> cases;
+    const auto addCase = [&](std::string name, const fmt::CooMatrix& c) {
+        cases.emplace_back(std::move(name), fmt::CsrMatrix::fromCoo(c));
     };
+    addCase("square", randomShape(100, 100, 0.05, 1));
+    addCase("tall", randomShape(300, 37, 0.08, 2));
+    addCase("wide", randomShape(29, 400, 0.06, 3));
+    addCase("empty rows", randomShape(200, 100, 0.003, 4));
+    addCase("0 nnz", fmt::CooMatrix(40, 30));
+    addCase("1xn", randomShape(1, 257, 0.3, 5));
+    addCase("nx1", randomShape(257, 1, 0.3, 6));
+    addCase("dense corner", randomShape(12, 9, 1.0, 7));
+    addCase("tridiagonal", wl::genTridiagonal(100));
+    addCase("power law", wl::genPowerLaw(64, 64, 700, 1.1, 17));
+
+    // Explicit zeros stay stored entries of the structure.
+    fmt::CsrMatrix zeros = fmt::CsrMatrix::fromCoo(randomShape(50, 70, 0.1, 8));
+    eng::scaleValues(zeros, Value(0));
+    cases.emplace_back("explicit zeros", std::move(zeros));
+
+    // Content after structural churn: inserts, cancellations and a
+    // row replacement.
+    fmt::CsrMatrix churned =
+        fmt::CsrMatrix::fromCoo(wl::genPowerLaw(64, 64, 700, 1.1, 17));
     std::uint64_t state = 99;
     for (int round = 0; round < 4; ++round)
-        eng::applyUpdates(m, wl::genScatterDeltas(64, 64, 50, state++), listener);
+        eng::applyUpdates(churned,
+                          wl::genScatterDeltas(64, 64, 50, state++));
     fmt::CooMatrix repl(64, 64);
     repl.add(10, 3, Value(1));
     repl.add(10, 60, Value(2));
     repl.canonicalize();
-    eng::replaceRows(m, {10, 11}, repl, listener);
+    eng::replaceRows(churned, {10, 11}, repl);
+    cases.emplace_back("after mutations", std::move(churned));
 
-    const eng::StructureStats full =
-        eng::analyzeStructure(m.toCoo(), tracker.block());
-    const eng::StructureStats inc = tracker.stats();
-    EXPECT_EQ(inc.rows, full.rows);
-    EXPECT_EQ(inc.cols, full.cols);
-    EXPECT_EQ(inc.nnz, full.nnz);
-    EXPECT_EQ(inc.maxNnzPerRow, full.maxNnzPerRow);
-    EXPECT_EQ(inc.numDiagonals, full.numDiagonals);
-    EXPECT_NEAR(inc.density, full.density, 1e-12);
-    EXPECT_NEAR(inc.avgNnzPerRow, full.avgNnzPerRow, 1e-12);
-    EXPECT_NEAR(inc.rowCv, full.rowCv, 1e-12);
-    EXPECT_NEAR(inc.diagonalFill, full.diagonalFill, 1e-12);
-    EXPECT_NEAR(inc.blockLocality, full.blockLocality, 1e-12);
+    // Block sizes that do not divide most of the column counts. The
+    // COO overload sees what toCoo() keeps (it drops explicit zeros).
+    for (const auto& [name, m] : cases) {
+        const fmt::CooMatrix coo = m.toCoo();
+        const fmt::CsrMatrix from_coo = fmt::CsrMatrix::fromCoo(coo);
+        for (Index block : {Index(1), Index(3), Index(8), Index(64)}) {
+            const std::string what =
+                name + " block " + std::to_string(block);
+            expectSameProfile(eng::analyzeStructure(m, block),
+                              bruteForceProfile(m, block), what);
+            expectSameProfile(eng::analyzeStructure(coo, block),
+                              bruteForceProfile(from_coo, block),
+                              what + " (COO)");
+        }
+    }
 }
 
 TEST(Reselect, StickyChoiceNeedsDecisiveCrossing)
@@ -344,6 +462,90 @@ TEST(Reselect, HysteresisSuppressesThrashThenMovesDecisively)
     out = registry.applyUpdates("drifty", more);
     EXPECT_FALSE(out.reencodeScheduled);
     EXPECT_EQ(registry.reselects("drifty"), 1u);
+}
+
+TEST(Reselect, DriftGateOpensOnTheMutationThatReachesTheThreshold)
+{
+    // A 64x64 tridiagonal matrix is DIA. Every mutation lands in
+    // rows [0, 32), which for K=2 is exactly shard 0. The gate needs
+    // 8 structural changes; shard 0's decision.stats shows when it
+    // last opened (an in-band decision rewrites it with the profile
+    // it read).
+    const auto at = [](std::vector<std::pair<Index, Index>> cells,
+                       Value v) {
+        fmt::CooMatrix d(64, 64);
+        for (const auto& [r, c] : cells)
+            d.add(r, c, v);
+        d.canonicalize();
+        return d;
+    };
+    eng::ReselectPolicy policy;
+    policy.minChanged = 8;
+    policy.minChangedFraction = 0;
+    for (Index k : {Index(1), Index(2)}) {
+        SCOPED_TRACE("K=" + std::to_string(k));
+        shard::ShardedMatrix sm(
+            "gate", fmt::CsrMatrix::fromCoo(wl::genTridiagonal(64)), k);
+        ASSERT_EQ(sm.shardFormats(),
+                  std::vector<eng::Format>(static_cast<std::size_t>(k),
+                                           eng::Format::kDia));
+        const auto seen = [&sm] {
+            return sm.shardInfo(0).decision.stats.nnz;
+        };
+        const Index nnz0 = sm.shardInfo(0).nnz;
+        ASSERT_EQ(seen(), nnz0);
+
+        // 3 inserts on diagonal +3, a value-only update (adds no
+        // churn), then 4 more inserts: 7 changes, the gate stays shut.
+        shard::ShardMutationOutcome out =
+            sm.applyUpdates(at({{0, 3}, {1, 4}, {2, 5}}, 1), policy);
+        EXPECT_EQ(out.stats.structural(), 3);
+        out = sm.applyUpdates(at({{0, 0}}, Value(0.5)), policy);
+        EXPECT_EQ(out.stats.updated, 1);
+        EXPECT_EQ(out.stats.structural(), 0);
+        out = sm.applyUpdates(at({{3, 6}, {4, 7}, {5, 8}, {6, 9}}, 1),
+                              policy);
+        EXPECT_FALSE(out.reencodeScheduled);
+        EXPECT_EQ(seen(), nnz0) << "the gate opened before 8 changes";
+
+        // The 8th change opens it. Four well-filled diagonals stay
+        // DIA: an in-band decision, which restarts the count.
+        out = sm.applyUpdates(at({{7, 10}}, 1), policy);
+        EXPECT_FALSE(out.reencodeScheduled);
+        EXPECT_EQ(seen(), nnz0 + 8) << "the gate missed the 8th change";
+        EXPECT_EQ(sm.shardInfo(0).chosen, eng::Format::kDia);
+
+        // 7 entries on 7 new diagonals sink the diagonal fill far
+        // enough to leave DIA, but only 7 changes have accrued since
+        // the restart; a value-only update adds none.
+        out = sm.applyUpdates(at({{8, 18}, {9, 20}, {10, 22}, {11, 24},
+                                  {12, 26}, {13, 28}, {14, 30}},
+                                 1),
+                              policy);
+        EXPECT_FALSE(out.reencodeScheduled)
+            << "the in-band decision did not restart the count";
+        out = sm.applyUpdates(at({{0, 0}}, Value(0.5)), policy);
+        EXPECT_FALSE(out.reencodeScheduled)
+            << "a value-only update counted as churn";
+        EXPECT_EQ(seen(), nnz0 + 8);
+
+        // The 8th change since the restart schedules the re-encode.
+        out = sm.applyUpdates(at({{15, 32}}, 1), policy);
+        ASSERT_TRUE(out.reencodeScheduled);
+        EXPECT_NE(out.target, eng::Format::kDia);
+        EXPECT_TRUE(sm.reencodePending());
+        EXPECT_EQ(seen(), nnz0 + 8) << "decision moved before the swap";
+
+        // The swap records the profile the gate read.
+        EXPECT_EQ(sm.runPendingReencodes(), 1);
+        const shard::ShardInfo info = sm.shardInfo(0);
+        EXPECT_EQ(info.chosen, out.target);
+        EXPECT_EQ(info.decision.decidedBy, eng::DecidedBy::kRules);
+        EXPECT_EQ(info.decision.stats.nnz, nnz0 + 16);
+        EXPECT_EQ(info.decision.stats.numDiagonals, 12);
+        expectSameProfile(info.decision.stats, sm.profile(0),
+                          "stats of the swap");
+    }
 }
 
 /**
