@@ -85,13 +85,6 @@ SmashMatrix::fromCsr(const fmt::CsrMatrix& csr, const HierarchyConfig& cfg)
 }
 
 SmashMatrix
-SmashMatrix::fromDense(const fmt::DenseMatrix& dense,
-                       const HierarchyConfig& cfg)
-{
-    return fromCoo(fmt::denseToCoo(dense), cfg);
-}
-
-SmashMatrix
 SmashMatrix::fromBlocks(Index rows, Index cols, const HierarchyConfig& cfg,
                         Bitmap level0, std::vector<Value> nza)
 {
@@ -191,12 +184,6 @@ std::size_t
 SmashMatrix::storageBytesCompact() const
 {
     return hierarchy_.compactStorageBytes() + nza_.size() * sizeof(Value);
-}
-
-std::size_t
-SmashMatrix::storageBytesDense() const
-{
-    return hierarchy_.denseStorageBytes() + nza_.size() * sizeof(Value);
 }
 
 double

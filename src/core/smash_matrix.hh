@@ -49,10 +49,6 @@ class SmashMatrix
     static SmashMatrix fromCsr(const fmt::CsrMatrix& csr,
                                const HierarchyConfig& cfg);
 
-    /** Encode a dense matrix. */
-    static SmashMatrix fromDense(const fmt::DenseMatrix& dense,
-                                 const HierarchyConfig& cfg);
-
     /**
      * Assemble directly from a Bitmap-0 occupancy pattern and a
      * matching NZA (used by kernels that produce SMASH output, e.g.
@@ -108,9 +104,6 @@ class SmashMatrix
      * hierarchy + NZA. This is the Fig. 19 numerator for SMASH.
      */
     std::size_t storageBytesCompact() const;
-
-    /** Total bytes with every bitmap level stored densely. */
-    std::size_t storageBytesDense() const;
 
     /**
      * Locality of sparsity (paper §7.2.3): average non-zeros per NZA

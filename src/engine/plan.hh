@@ -60,27 +60,10 @@ struct PartitionPlan
     /** Bitmap-0 rank (NZA base) before each chunk, size chunks+1. */
     std::vector<Index> base;
 
-    // --- Column-tile fields (PlanKind::kColTiles only). ---
-    Index tiles = 0;     //!< column tiles (T)
-    Index tile_cols = 0; //!< columns per tile
-    /**
-     * Per-(tile, row) segment starts into the CSR arrays, laid out
-     * tile-major: seg[t * rows + i] is the offset of row i's first
-     * entry with column >= t * tile_cols, and seg[tiles * rows + i]
-     * is row_ptr[i + 1]. Row i's tile-t segment is therefore
-     * [seg[t * rows + i], seg[(t + 1) * rows + i]) over the
-     * *original* colInd/values arrays — no data is duplicated, the
-     * plan just remembers where each row crosses each tile boundary.
-     * Same element type as fmt::CsrIndex.
-     */
-    std::vector<std::int32_t> seg;
-
     /** Number of chunks this plan partitions into. */
     Index
     chunks() const
     {
-        if (tiles > 0)
-            return tiles;
         const std::vector<Index>& v = cuts.empty() ? base : cuts;
         return static_cast<Index>(v.size()) - 1;
     }
@@ -94,7 +77,6 @@ enum class PlanKind : int
     kColCuts,  //!< nnz-balanced column cuts (SpMM B bands)
     kSpaddCuts, //!< row cuts of the parallel SpAdd merge
     kWordWalk, //!< SMASH Bitmap-0 word partition + base ranks
-    kColTiles, //!< cache-blocked CSR column-tile segment table
 };
 
 /** Memoized PartitionPlans, keyed by (kind, chunk count). */

@@ -212,26 +212,6 @@ ellSpmvRangeAvx2(const fmt::EllMatrix& a, const std::vector<Value>& x,
 }
 
 SMASH_TARGET_AVX2 void
-csrSpmvTileRangeAvx2(const fmt::CsrMatrix& a,
-                     const fmt::CsrIndex* seg_begin,
-                     const fmt::CsrIndex* seg_end,
-                     const std::vector<Value>& x, std::vector<Value>& y,
-                     Index row_begin, Index row_end)
-{
-    const fmt::CsrIndex* cols = a.colInd().data();
-    const Value* vals = a.values().data();
-    const Value* xp = x.data();
-    for (Index i = row_begin; i < row_end; ++i) {
-        auto si = static_cast<std::size_t>(i);
-        const fmt::CsrIndex b = seg_begin[si];
-        const Index n = static_cast<Index>(seg_end[si] - b);
-        if (n == 0)
-            continue;
-        y[si] += dotSpanAvx2(cols + b, vals + b, n, xp, 0);
-    }
-}
-
-SMASH_TARGET_AVX2 void
 csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
                       const fmt::DenseMatrix& x, fmt::DenseMatrix& y,
                       Index row_begin, Index row_end)
@@ -477,8 +457,8 @@ const KernelTable&
 avx2KernelTable()
 {
     static const KernelTable table = {
-        &csrSpmvRangeAvx2,     &csrSpmvTileRangeAvx2,
-        &csrSpmvBatchRangeAvx2, &ellSpmvRangeAvx2,
+        &csrSpmvRangeAvx2,     &csrSpmvBatchRangeAvx2,
+        &ellSpmvRangeAvx2,
         &smashSpmvWordsAvx2,   &smashSpmvBatchWordsAvx2,
         &popcountWordsAvx2,
         IsaLevel::kAvx2,

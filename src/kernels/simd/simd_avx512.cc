@@ -162,27 +162,6 @@ ellSpmvRangeAvx512(const fmt::EllMatrix& a, const std::vector<Value>& x,
     }
 }
 
-SMASH_TARGET_AVX512 void
-csrSpmvTileRangeAvx512(const fmt::CsrMatrix& a,
-                       const fmt::CsrIndex* seg_begin,
-                       const fmt::CsrIndex* seg_end,
-                       const std::vector<Value>& x,
-                       std::vector<Value>& y, Index row_begin,
-                       Index row_end)
-{
-    const fmt::CsrIndex* cols = a.colInd().data();
-    const Value* vals = a.values().data();
-    const Value* xp = x.data();
-    for (Index i = row_begin; i < row_end; ++i) {
-        auto si = static_cast<std::size_t>(i);
-        const fmt::CsrIndex b = seg_begin[si];
-        const Index n = static_cast<Index>(seg_end[si] - b);
-        if (n == 0)
-            continue;
-        y[si] += dotSpanAvx512(cols + b, vals + b, n, xp, 0);
-    }
-}
-
 } // namespace
 
 const KernelTable&
@@ -190,8 +169,8 @@ avx512KernelTable()
 {
     const KernelTable& avx2 = avx2KernelTable();
     static const KernelTable table = {
-        &csrSpmvRangeAvx512,   &csrSpmvTileRangeAvx512,
-        avx2.csrSpmvBatchRange, &ellSpmvRangeAvx512,
+        &csrSpmvRangeAvx512,   avx2.csrSpmvBatchRange,
+        &ellSpmvRangeAvx512,
         avx2.smashSpmvWords,   avx2.smashSpmvBatchWords,
         avx2.popcountWords,
         IsaLevel::kAvx512,

@@ -3,8 +3,8 @@
  * SIMD kernel layer: runtime-dispatched variants of the engine's
  * hot native loops — the CSR gather SpMV/SpMM-batch row loops, the
  * ELL row-slab SpMV, the SMASH Bitmap-0 word walk (the software
- * analogue of the paper's BMU), the cache-blocked CSR tile kernel,
- * and the word-rank popcount used by the SMASH partition pre-scan.
+ * analogue of the paper's BMU), and the word-rank popcount used by
+ * the SMASH partition pre-scan.
  *
  * One binary carries scalar, AVX2+BMI2, and (guarded) AVX-512F
  * implementations of every entry; kernels() returns the table for
@@ -57,20 +57,6 @@ struct KernelTable
                          const std::vector<Value>& x,
                          std::vector<Value>& y, Index row_begin,
                          Index row_end);
-
-    /**
-     * Cache-blocked tile pass: for each row in [row_begin, row_end),
-     * accumulate the segment [seg_begin[i], seg_end[i]) of the
-     * row's non-zeros into y[i]. seg_begin/seg_end are one column
-     * tile's slice of a PartitionPlan::seg table (engine/plan.hh);
-     * rows with empty segments are skipped entirely.
-     */
-    void (*csrSpmvTileRange)(const fmt::CsrMatrix& a,
-                             const fmt::CsrIndex* seg_begin,
-                             const fmt::CsrIndex* seg_end,
-                             const std::vector<Value>& x,
-                             std::vector<Value>& y, Index row_begin,
-                             Index row_end);
 
     /** Y := Y + A X (batched SpMV) over CSR rows
      *  [row_begin, row_end); lanes vectorize across the RHS block,

@@ -62,31 +62,6 @@ ellSpmvRangeScalar(const fmt::EllMatrix& a, const std::vector<Value>& x,
 }
 
 void
-csrSpmvTileRangeScalar(const fmt::CsrMatrix& a,
-                       const fmt::CsrIndex* seg_begin,
-                       const fmt::CsrIndex* seg_end,
-                       const std::vector<Value>& x,
-                       std::vector<Value>& y, Index row_begin,
-                       Index row_end)
-{
-    const fmt::CsrIndex* cols = a.colInd().data();
-    const Value* vals = a.values().data();
-    const Value* xp = x.data();
-    for (Index i = row_begin; i < row_end; ++i) {
-        auto si = static_cast<std::size_t>(i);
-        const fmt::CsrIndex b = seg_begin[si];
-        const Index n = static_cast<Index>(seg_end[si] - b);
-        // Empty segments skip the y read-modify-write entirely —
-        // the skip is geometric, so every variant skips alike.
-        if (n == 0)
-            continue;
-        // Tiles are sized to keep the x slice cache-resident, so no
-        // prefetch.
-        y[si] += detail::dotSpanScalar(cols + b, vals + b, n, xp, 0);
-    }
-}
-
-void
 csrSpmvBatchRangeScalar(const fmt::CsrMatrix& a,
                         const fmt::DenseMatrix& x, fmt::DenseMatrix& y,
                         Index row_begin, Index row_end)
@@ -249,8 +224,8 @@ const KernelTable&
 scalarKernelTable()
 {
     static const KernelTable table = {
-        &csrSpmvRangeScalar,     &csrSpmvTileRangeScalar,
-        &csrSpmvBatchRangeScalar, &ellSpmvRangeScalar,
+        &csrSpmvRangeScalar,     &csrSpmvBatchRangeScalar,
+        &ellSpmvRangeScalar,
         &smashSpmvWordsScalar,   &smashSpmvBatchWordsScalar,
         &popcountWordsScalar,
         IsaLevel::kScalar,

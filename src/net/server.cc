@@ -173,9 +173,12 @@ Server::acceptLoop(int listen_fd, Transport transport)
                               openConnsGauge().add(-1);
                               return true;
                           });
+            // Start before publishing: the reaper and shutdown join
+            // only Conns they find in conns_, and this lock orders
+            // the thread_ assignment before any such join().
+            conn->start();
             conns_.push_back(conn);
         }
-        conn->start();
     }
 }
 

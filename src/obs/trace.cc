@@ -234,7 +234,6 @@ dispatchPathName(std::uint32_t path)
     switch (static_cast<DispatchPath>(path)) {
       case DispatchPath::kSerial: return "serial";
       case DispatchPath::kRows: return "rows";
-      case DispatchPath::kTiled: return "tiled";
       case DispatchPath::kWordWalk: return "word_walk";
       case DispatchPath::kScatter: return "scatter";
       case DispatchPath::kBatchRows: return "batch_rows";

@@ -148,12 +148,6 @@ MatrixRegistry::encodedAs(const std::string& name, eng::Format format)
 }
 
 MatrixRegistry::EncodingPtr
-MatrixRegistry::encodedIfCached(const std::string& name)
-{
-    return lookup(slot(name), std::nullopt, true);
-}
-
-MatrixRegistry::EncodingPtr
 MatrixRegistry::encodedAsIfCached(const std::string& name,
                                   eng::Format format)
 {

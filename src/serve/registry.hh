@@ -166,12 +166,9 @@ class MatrixRegistry
     EncodingPtr encodedAs(const std::string& name, eng::Format format);
 
     /**
-     * The primary encoding if (and only if) it is already built —
-     * never converts; returns null on a cold slot.
+     * The encoding in @p format if (and only if) it is already
+     * built — never converts; returns null on a cold slot.
      */
-    EncodingPtr encodedIfCached(const std::string& name);
-
-    /** encodedIfCached() for an explicit format. */
     EncodingPtr encodedAsIfCached(const std::string& name,
                                   eng::Format format);
 

@@ -23,11 +23,14 @@
  *
  * Partitioning is nnz-balanced: cut points are chosen on the CSR
  * row-pointer prefix sums so every shard carries ~nnz/K entries
- * (each shard still gets at least one row). Because every row lands
- * in exactly one shard and every format computes a row's dot
- * product in ascending column order, scatter–gather SpMV over the
- * shards is bit-identical to the unsharded execution — regardless
- * of K, of the per-shard format choices, or of the thread count.
+ * (each shard still gets at least one row). Every row lands in
+ * exactly one shard, so a row's bits depend only on its shard's
+ * format: over CSR and ELL shards, scatter–gather SpMV is
+ * bit-identical to serial CSR regardless of K or of the thread
+ * count. DIA, dense, BCSR and SMASH shards sum each row in their
+ * own order, so their rows can differ from CSR's in the last bits
+ * (inputs whose sums are exact in any order, such as dyadic
+ * values, agree across every format mix).
  *
  * K=1 is the plain single-matrix path, at no extra cost: the master
  * moves into shard 0 without a slice, and SpMV runs the engine

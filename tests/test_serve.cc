@@ -2,7 +2,7 @@
  * @file
  * Tests for the serving subsystem and the engine growth beneath it:
  * batched SpMV against per-request dispatch (within 1e-12), the
- * batched SpMM/SpAdd dispatch entry points, the parallel SpMM/SpAdd
+ * batched SpMM dispatch entry point, the parallel SpMM/SpAdd
  * drivers, thread-pool shutdown semantics, the matrix registry's
  * conversion caching — and the typed serve::Result surface: status
  * codes instead of exceptions, per-(matrix, op) batching with
@@ -260,33 +260,6 @@ TEST(SpmmBatch, BitIdenticalToConcatenationAndCloseToSpmm)
     for (Index i = 0; i < 64; ++i)
         for (Index c = 0; c < 8; ++c)
             EXPECT_EQ(cw.at(i, c), c_spmm.at(i, c));
-}
-
-TEST(SpaddBatch, MatchesIndividualSpadd)
-{
-    const fmt::CsrMatrix a =
-        fmt::CsrMatrix::fromCoo(dyadicMatrix(50, 50, 5));
-    const fmt::CsrMatrix b1 =
-        fmt::CsrMatrix::fromCoo(dyadicMatrix(50, 50, 3));
-    const fmt::CsrMatrix b2 =
-        fmt::CsrMatrix::fromCoo(dyadicMatrix(50, 50, 7));
-    sim::NativeExec e;
-    const std::vector<eng::SparseMatrixAny> sums =
-        eng::spaddBatch(a, {b1, b2}, e);
-    ASSERT_EQ(sums.size(), 2u);
-    const eng::SparseMatrixAny s1 = eng::spadd(a, b1, e);
-    const eng::SparseMatrixAny s2 = eng::spadd(a, b2, e);
-    EXPECT_EQ(sums[0].nnz(), s1.nnz());
-    EXPECT_EQ(sums[1].nnz(), s2.nnz());
-    const std::vector<Value> x = rampVector(50, 2);
-    for (int i = 0; i < 2; ++i) {
-        std::vector<Value> ya(50, Value(0)), yb(50, Value(0));
-        eng::spmv(sums[static_cast<std::size_t>(i)], x, ya, e);
-        eng::spmv(i == 0 ? s1 : s2, x, yb, e);
-        for (Index r = 0; r < 50; ++r)
-            EXPECT_EQ(ya[static_cast<std::size_t>(r)],
-                      yb[static_cast<std::size_t>(r)]);
-    }
 }
 
 TEST(ParallelDrivers, SpmmTilesMatchSerial)

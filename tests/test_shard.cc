@@ -2,8 +2,9 @@
  * @file
  * Tests for the sharded-matrix subsystem (src/shard/): bit-identity
  * of scatter–gather SpMV / batched SpMV (and served SpAdd) against
- * the unsharded engine (all values dyadic, so every summation order is
- * exact and the comparisons are memcmp, not tolerance), delta
+ * the unsharded engine (values dyadic, so every summation order is
+ * exact and the comparisons are memcmp, not tolerance), random-valued
+ * CSR shards against serial CSR on a wide matrix, delta
  * routing to the owning shard, per-shard divergent format
  * re-selection with per-shard (not whole-matrix) async re-encode,
  * per-matrix re-encode counters, a failed shard build failing its
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -58,6 +60,23 @@ dyadicOperand(Index n, Index kind)
     for (Index i = 0; i < n; ++i)
         x[static_cast<std::size_t>(i)] =
             Value(1) + Value((i * 5 + kind) % 9) * Value(0.0625);
+    return x;
+}
+
+/** Non-dyadic operand in [-1, 1): summation order shows in the
+ *  bits, so a comparison with it checks order, not just value. */
+std::vector<Value>
+randomOperand(Index n, std::uint64_t seed)
+{
+    std::vector<Value> x(static_cast<std::size_t>(n));
+    std::uint64_t s = seed;
+    for (auto& v : x) {
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        v = Value(static_cast<double>(s >> 11) /
+                      static_cast<double>(std::uint64_t{1} << 53) *
+                      2.0 -
+                  1.0);
+    }
     return x;
 }
 
@@ -206,6 +225,39 @@ TEST(Shard, SpmvBitIdenticalToUnsharded)
                 std::vector<Value> y(240, Value(0));
                 sm.spmv(x, y, p);
                 ASSERT_EQ(y.size(), expect.size());
+                ASSERT_EQ(std::memcmp(y.data(), expect.data(),
+                                      y.size() * sizeof(Value)),
+                          0)
+                    << "K=" << k << " threads=" << threads
+                    << " pooled=" << (p != nullptr);
+            }
+        }
+    }
+}
+
+TEST(Shard, CsrSpmvBitIdenticalToSerialCsrOnWideMatrix)
+{
+    // Random values on a 2^22-column matrix (x = 32 MiB, past any
+    // L2; 32 non-zeros per row spread over the whole width), every
+    // shard pinned to CSR: K=1 pooled runs ParallelExec, the rest
+    // run serial kernels, and all must give serial CSR's bits.
+    const fmt::CsrMatrix master = fmt::CsrMatrix::fromCoo(
+        wl::genUniform(256, Index(1) << 22, 8192, 5));
+    const std::vector<Value> x = randomOperand(master.cols(), 3);
+
+    std::vector<Value> expect(256, Value(0));
+    sim::NativeExec ne;
+    eng::spmv(master, x, expect, ne);
+
+    for (int threads : threadCounts()) {
+        exec::ThreadPool pool(threads);
+        for (const Index k : {Index(1), Index(2), Index(5)}) {
+            shard::ShardedMatrix sm("wide", master, k, {},
+                                    eng::Format::kCsr);
+            for (exec::ThreadPool* p :
+                 {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+                std::vector<Value> y(256, Value(0));
+                sm.spmv(x, y, p);
                 ASSERT_EQ(std::memcmp(y.data(), expect.data(),
                                       y.size() * sizeof(Value)),
                           0)

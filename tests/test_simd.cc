@@ -4,21 +4,18 @@
  *
  *  - every kernel variant table — scalar, AVX2+BMI2, AVX-512F —
  *    produces *bit-identical* results on every entry point (CSR
- *    SpMV, the column-tiled CSR walk, batched CSR SpMV, ELL SpMV,
- *    the SMASH word walk single and batched, popcountWords), at
- *    every level the host supports, and ELL SpMV equals CSR SpMV
- *    on the same content;
+ *    SpMV, batched CSR SpMV, ELL SpMV, the SMASH word walk single
+ *    and batched, popcountWords), at every level the host supports,
+ *    and ELL SpMV equals CSR SpMV on the same content;
  *  - the same holds through the engine dispatch at 1, 2, and 8
  *    threads with the active level switched via setIsaLevel() (the
  *    in-process equivalent of SMASH_FORCE_ISA — the CI matrix runs
  *    this whole binary under SMASH_FORCE_ISA=scalar to cover the
- *    env route);
- *  - the cache-blocked tiled CSR path is bit-stable across thread
- *    counts and ISA levels, numerically equal to the untiled walk,
- *    and off for small matrices under the auto policy;
- *  - the warmed dispatch stays allocation-free with the SIMD layer
- *    in the loop (the contract test_perf_paths.cc pins for the
- *    untiled paths, extended here to the tiled driver).
+ *    env route), and parallel CSR equals serial CSR on every shape,
+ *    including one whose x operand overflows any L2;
+ *  - the warmed dispatch stays allocation-free at the forced scalar
+ *    level (the contract test_perf_paths.cc pins for the default
+ *    level).
  *
  * The allocation counter duplicates the test_perf_paths.cc pattern:
  * overrides are binary-local, counting only inside marked windows.
@@ -119,16 +116,6 @@ struct IsaGuard
     ~IsaGuard() { simd::setIsaLevel(saved); }
 };
 
-/** Restore the default tiling policy. */
-struct TileGuard
-{
-    ~TileGuard()
-    {
-        eng::setTileMode(eng::TileMode::kAuto);
-        eng::setTileCols(0);
-    }
-};
-
 /** The ISA levels this host can actually execute, low to high. */
 std::vector<simd::IsaLevel>
 supportedLevels()
@@ -164,6 +151,15 @@ fmt::CooMatrix
 csrTestMatrix()
 {
     return wl::genClustered(300, 512, 6000, 6, 17);
+}
+
+/** A 256 x 2^22 random matrix, 32 non-zeros per row scattered over
+ *  the whole width: x is 32 MiB, past any L2, and every row spans
+ *  many 131,072-column bands. */
+fmt::CooMatrix
+wideMatrix()
+{
+    return wl::genUniform(256, Index(1) << 22, 8192, 5);
 }
 
 /** Narrow matrix: 90 columns means the SMASH Bitmap-0 rows span a
@@ -492,21 +488,25 @@ TEST(DispatchBitIdentity, CsrAndSmashAcrossLevelsPerThreadCount)
 TEST(DispatchBitIdentity, SerialCsrMatchesParallelAtEveryLevel)
 {
     IsaGuard guard;
-    eng::SparseMatrixAny m(fmt::CsrMatrix::fromCoo(csrTestMatrix()));
-    const std::vector<Value> x = pseudoX(512, 11);
-    for (simd::IsaLevel level : supportedLevels()) {
-        ASSERT_TRUE(simd::setIsaLevel(level));
-        std::vector<Value> serial(300, Value(0));
-        sim::NativeExec ne;
-        eng::spmv(m.ref(), x, serial, ne);
-        for (int threads : {1, 2, 8}) {
-            exec::ParallelExec pe(threads);
-            std::vector<Value> par(300, Value(0));
-            eng::spmv(m.ref(), x, par, pe);
-            EXPECT_EQ(par, serial)
-                << "row-partitioned CSR diverged from serial at "
-                << threads << " threads, level "
-                << simd::toString(level);
+    for (const fmt::CooMatrix& coo : {csrTestMatrix(), wideMatrix()}) {
+        eng::SparseMatrixAny m(fmt::CsrMatrix::fromCoo(coo));
+        const std::vector<Value> x = pseudoX(m.cols(), 11);
+        const auto rows = static_cast<std::size_t>(m.rows());
+        for (simd::IsaLevel level : supportedLevels()) {
+            ASSERT_TRUE(simd::setIsaLevel(level));
+            std::vector<Value> serial(rows, Value(0));
+            sim::NativeExec ne;
+            eng::spmv(m.ref(), x, serial, ne);
+            for (int threads : {1, 2, 8}) {
+                exec::ParallelExec pe(threads);
+                std::vector<Value> par(rows, Value(0));
+                eng::spmv(m.ref(), x, par, pe);
+                EXPECT_TRUE(sameBits(par, serial))
+                    << "row-partitioned CSR diverged from serial at "
+                    << threads << " threads, level "
+                    << simd::toString(level) << ", " << m.cols()
+                    << " columns";
+            }
         }
     }
 }
@@ -543,85 +543,6 @@ TEST(DispatchBitIdentity, SerialEllMatchesParallelAtEveryLevel)
             }
         }
     }
-}
-
-TEST(TiledCsr, BitStableAcrossThreadsAndLevels)
-{
-    IsaGuard isa_guard;
-    TileGuard tile_guard;
-    eng::setTileMode(eng::TileMode::kForce);
-    eng::setTileCols(96); // 512 cols -> 6 tiles
-    eng::SparseMatrixAny m(fmt::CsrMatrix::fromCoo(csrTestMatrix()));
-    const std::vector<Value> x = pseudoX(512, 13);
-    std::vector<Value> ref(300, Value(0));
-    {
-        ASSERT_TRUE(simd::setIsaLevel(simd::IsaLevel::kScalar));
-        exec::ParallelExec pe(1);
-        eng::spmv(m.ref(), x, ref, pe);
-    }
-    for (simd::IsaLevel level : supportedLevels()) {
-        ASSERT_TRUE(simd::setIsaLevel(level));
-        for (int threads : {1, 2, 8}) {
-            exec::ParallelExec pe(threads);
-            std::vector<Value> y(300, Value(0));
-            eng::spmv(m.ref(), x, y, pe);
-            EXPECT_EQ(y, ref)
-                << "tiled CSR diverged at " << threads
-                << " threads, level " << simd::toString(level);
-        }
-    }
-}
-
-TEST(TiledCsr, MatchesUntiledNumerically)
-{
-    TileGuard tile_guard;
-    eng::SparseMatrixAny m(fmt::CsrMatrix::fromCoo(csrTestMatrix()));
-    const std::vector<Value> x = pseudoX(512, 19);
-    exec::ParallelExec pe(2);
-    eng::setTileMode(eng::TileMode::kOff);
-    std::vector<Value> untiled(300, Value(0));
-    eng::spmv(m.ref(), x, untiled, pe);
-    eng::setTileMode(eng::TileMode::kForce);
-    eng::setTileCols(64);
-    std::vector<Value> tiled(300, Value(0));
-    eng::spmv(m.ref(), x, tiled, pe);
-    for (std::size_t i = 0; i < untiled.size(); ++i)
-        EXPECT_NEAR(tiled[i], untiled[i], 1e-12)
-            << "tiled result drifted at row " << i;
-}
-
-TEST(TiledCsr, AutoPolicyLeavesSmallMatricesUntiled)
-{
-    // 512 columns is 4 KiB of x — far below any L2. The auto policy
-    // must not tile it, which is observable through the plan cache:
-    // only the row-cut plan gets built.
-    TileGuard tile_guard;
-    eng::setTileMode(eng::TileMode::kAuto);
-    eng::SparseMatrixAny m(fmt::CsrMatrix::fromCoo(csrTestMatrix()));
-    const std::vector<Value> x = pseudoX(512, 23);
-    std::vector<Value> y(300, Value(0));
-    exec::ParallelExec pe(2);
-    eng::spmv(m.ref(), x, y, pe);
-    EXPECT_EQ(m.planCache().size(), 1u)
-        << "auto tiling built an unexpected extra plan for a "
-           "cache-resident matrix";
-}
-
-TEST(AllocationFree, WarmedTiledParallelSpmv)
-{
-    TileGuard tile_guard;
-    eng::setTileMode(eng::TileMode::kForce);
-    eng::setTileCols(96);
-    eng::SparseMatrixAny m(fmt::CsrMatrix::fromCoo(csrTestMatrix()));
-    const std::vector<Value> x = pseudoX(512, 29);
-    std::vector<Value> y(300, Value(0));
-    exec::ParallelExec pe(2);
-    for (int i = 0; i < 3; ++i)
-        eng::spmv(m.ref(), x, y, pe); // warm plans, arena, pool
-    const std::uint64_t n =
-        allocationsDuring([&] { eng::spmv(m.ref(), x, y, pe); });
-    EXPECT_EQ(n, 0u) << "warmed tiled dispatch must not allocate "
-                        "(tile + row plans cached)";
 }
 
 TEST(AllocationFree, WarmedDispatchAtForcedScalarLevel)
