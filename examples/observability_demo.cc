@@ -2,7 +2,8 @@
  * @file
  * Worked example of the observability layer: stand up a serving
  * session, push mixed-priority traffic through it with event
- * tracing armed, then harvest all three instrumentation products —
+ * tracing armed, run the engine's parallel driver on the served
+ * encoding, then harvest all three instrumentation products —
  * the Prometheus text exposition (what a /metrics endpoint would
  * serve), the per-stage latency breakdown from the session's span
  * stamps, and a Chrome trace-event JSON file ready for
@@ -15,6 +16,8 @@
 #include <iostream>
 #include <vector>
 
+#include "common/parallel_exec.hh"
+#include "engine/dispatch.hh"
 #include "engine/format.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -71,7 +74,6 @@ main()
     serve::SessionOptions options;
     options.threads = 4;
     options.maxBatch = 8;
-    options.compute = serve::ComputeExec::kParallel;
     {
         serve::Session session(registry, options);
         std::vector<std::future<serve::Result<std::vector<Value>>>>
@@ -104,12 +106,26 @@ main()
         session.drain();
     } // session + pool torn down: trace writers quiesced
 
-    // 4. The Prometheus text exposition — the same bytes
+    // 4. Served batches compute serially, one per worker. The
+    //    engine's parallel driver, called on the served encoding,
+    //    builds a partition plan on its first call (plan_cache
+    //    "miss") and reuses it on the next ("hit").
+    {
+        exec::ParallelExec pe(options.threads);
+        const serve::MatrixRegistry::EncodingPtr enc =
+            registry.encoded("ranker");
+        for (Index r = 0; r < 2; ++r) {
+            std::vector<Value> y(1024, Value(0));
+            eng::spmv(enc->ref(), operand(1024, r), y, pe);
+        }
+    }
+
+    // 5. The Prometheus text exposition — the same bytes
     //    `smash_serverd`'s /metrics endpoint serves.
     std::cout << "\n--- metrics exposition ---\n";
     obs::MetricsRegistry::global().exportText(std::cout);
 
-    // 5. The event trace as Chrome trace-event JSON: load in
+    // 6. The event trace as Chrome trace-event JSON: load in
     //    chrome://tracing / Perfetto, or run
     //    `tools/smash_trace --validate observability_trace.json`.
     const obs::TraceCollector& tc = obs::TraceCollector::global();

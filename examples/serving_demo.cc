@@ -64,7 +64,7 @@ main()
     serve::SessionOptions options;
     options.threads = 4;
     options.maxBatch = 8;
-    options.maxInflightPerMatrix = 64; // admission control on
+    options.maxInflight = 64; // admission control on
     serve::Session session(registry, options);
 
     std::vector<std::future<serve::Result<std::vector<Value>>>> spmv;

@@ -86,12 +86,9 @@ ThreadPool::ThreadPool(const Options& options)
 {
     const int threads = options.threads;
     SMASH_CHECK(threads >= 1, "thread pool needs at least one worker");
-    queues_.reserve(static_cast<std::size_t>(threads));
     arenas_.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-        queues_.push_back(std::make_unique<WorkerQueue>());
+    for (int t = 0; t < threads; ++t)
         arenas_.push_back(std::make_unique<ScratchArena>());
-    }
     workers_.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t)
         workers_.emplace_back(
@@ -149,49 +146,10 @@ ThreadPool::shutdown()
     });
 }
 
-void
-ThreadPool::beginSubmit(const char* what)
-{
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    SMASH_CHECK(!stop_, what, " on a shut-down thread pool");
-    ++submitting_;
-}
-
-void
-ThreadPool::endSubmit(Index published)
-{
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        pending_ += published;
-        --submitting_;
-    }
-    // notify_all, deliberately: notify_one would be correct (every
-    // publication sends its own wakeup and workers re-check the
-    // predicate), but A/B runs of the serving bench measured it
-    // slightly *slower* on an oversubscribed single-core host —
-    // the first-scheduled of several woken workers picks the task
-    // up sooner than one designated waiter.
-    sleep_cv_.notify_all();
-}
-
 bool
-ThreadPool::tryBeginSubmit()
-{
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    if (stop_)
-        return false;
-    ++submitting_;
-    return true;
-}
-
-void
 ThreadPool::enqueueTask(std::function<void()> fn)
 {
-    static obs::Counter& tasks_total =
-        obs::MetricsRegistry::global().counter(
-            "smash_pool_tasks_total");
-    tasks_total.inc();
-    Task task{[fn = std::move(fn)] {
+    Task task = [fn = std::move(fn)] {
         const std::uint64_t t0 =
             obs::traceEnabled() ? obs::traceNowNs() : 0;
         try {
@@ -203,29 +161,38 @@ ThreadPool::enqueueTask(std::function<void()> fn)
             std::cerr << "smash::ThreadPool: posted task threw\n";
         }
         SMASH_TRACE_SPAN(obs::EventKind::kPoolTask, t0);
-    }};
-    WorkerQueue& q = *queues_[next_queue_++ % queues_.size()];
+    };
     {
-        std::lock_guard<std::mutex> lock(q.mutex);
-        q.tasks.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        if (stop_)
+            return false;
+        tasks_.push_back(std::move(task));
     }
-    endSubmit(1);
+    static obs::Counter& tasks_total =
+        obs::MetricsRegistry::global().counter(
+            "smash_pool_tasks_total");
+    tasks_total.inc();
+    // notify_all, deliberately: notify_one would be correct (every
+    // publication sends its own wakeup and workers re-check the
+    // predicate), but A/B runs of the serving bench measured it
+    // slightly *slower* on an oversubscribed single-core host —
+    // the first-scheduled of several woken workers picks the task
+    // up sooner than one designated waiter.
+    sleep_cv_.notify_all();
+    return true;
 }
 
 void
 ThreadPool::post(std::function<void()> fn)
 {
-    beginSubmit("post()");
-    enqueueTask(std::move(fn));
+    SMASH_CHECK(enqueueTask(std::move(fn)),
+                "post() on a shut-down thread pool");
 }
 
 bool
 ThreadPool::tryPost(std::function<void()> fn)
 {
-    if (!tryBeginSubmit())
-        return false;
-    enqueueTask(std::move(fn));
-    return true;
+    return enqueueTask(std::move(fn));
 }
 
 Index
@@ -324,44 +291,6 @@ ThreadPool::runOneChunk(std::size_t worker, ForBatch* only)
     return true;
 }
 
-bool
-ThreadPool::tryRunOne(std::size_t self)
-{
-    // Own deque first (front: most recently pushed task, still hot).
-    {
-        WorkerQueue& q = *queues_[self];
-        std::unique_lock<std::mutex> lock(q.mutex);
-        if (!q.tasks.empty()) {
-            Task task = std::move(q.tasks.front());
-            q.tasks.pop_front();
-            lock.unlock();
-            {
-                std::lock_guard<std::mutex> sleep(sleep_mutex_);
-                --pending_;
-            }
-            task.fn();
-            return true;
-        }
-    }
-    // Steal from the back of the other workers' deques.
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-        WorkerQueue& q = *queues_[(self + i) % queues_.size()];
-        std::unique_lock<std::mutex> lock(q.mutex);
-        if (!q.tasks.empty()) {
-            Task task = std::move(q.tasks.back());
-            q.tasks.pop_back();
-            lock.unlock();
-            {
-                std::lock_guard<std::mutex> sleep(sleep_mutex_);
-                --pending_;
-            }
-            task.fn();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 ThreadPool::workerLoop(std::size_t self)
 {
@@ -370,28 +299,29 @@ ThreadPool::workerLoop(std::size_t self)
         // parallelFor chunks first — their owners are blocked on
         // them — then posted tasks. The atomic gate keeps the
         // pure-posted-task steady state (the serving pipeline) off
-        // the global claim lock.
+        // the chunk scan.
         if (active_batches_.load(std::memory_order_acquire) > 0 &&
             runOneChunk(self, nullptr))
             continue;
-        if (tryRunOne(self))
-            continue;
-        // The pending counter, the batch list, and the wait share
-        // sleep_mutex_, so work published after the failed scans
-        // above cannot slip by unnoticed: either the predicate is
-        // already true here, or the publisher's notify arrives while
-        // we hold the lock. Teardown waits for every published task
-        // and claimable chunk to run AND for any submission past
-        // the gate to publish, so work accepted before shutdown()
-        // began is never stranded.
+        // The task queue, the batch list, and the wait share
+        // sleep_mutex_, so work published after the chunk scan above
+        // cannot slip by unnoticed: either the predicate is already
+        // true here, or the publisher's notify arrives while we hold
+        // the lock. Posting fails once stop_ is set, so teardown
+        // runs every task accepted before shutdown() began and every
+        // claimable chunk before the worker exits.
         std::unique_lock<std::mutex> lock(sleep_mutex_);
         sleep_cv_.wait(lock, [this] {
-            return pending_ > 0 || claimableLocked() ||
-                   (stop_ && submitting_ == 0);
+            return !tasks_.empty() || claimableLocked() || stop_;
         });
-        if (pending_ > 0 || claimableLocked())
+        if (claimableLocked())
             continue;
-        return;
+        if (tasks_.empty())
+            return;
+        Task task = std::move(tasks_.front());
+        tasks_.pop_front();
+        lock.unlock();
+        task();
     }
 }
 

@@ -17,8 +17,8 @@
  *    runs dry, so skew cannot strand work.
  *
  *  - post()ed tasks (the serving pipeline's stage submissions):
- *    per-worker deques with the classic owner-LIFO / thief-FIFO
- *    discipline.
+ *    one FIFO queue under the pool lock, so tasks start in the
+ *    order they were posted.
  *
  * Workers may opt into CPU affinity pinning (Options::pinWorkers,
  * Linux pthread_setaffinity_np; a no-op elsewhere): worker t is
@@ -109,8 +109,9 @@ class ThreadPool
 
     /**
      * Enqueue one fire-and-forget task (the serving pipeline's
-     * stage submission). Tasks accepted before shutdown() begins
-     * are guaranteed to run; posting afterwards fails with
+     * stage submission). Tasks start in the order they were
+     * posted. Tasks accepted before shutdown() begins are
+     * guaranteed to run; posting afterwards fails with
      * FatalError instead of racing the worker teardown. A task
      * that throws is caught and logged — fire-and-forget tasks
      * have no caller to rethrow into.
@@ -146,17 +147,7 @@ class ThreadPool
      *  and is linked into batches_ while chunks remain. */
     struct ForBatch;
 
-    struct Task
-    {
-        std::function<void()> fn;
-    };
-
-    /** One worker's task deque (owner pops front, thieves pop back). */
-    struct WorkerQueue
-    {
-        std::deque<Task> tasks;
-        std::mutex mutex;
-    };
+    using Task = std::function<void()>;
 
     /** Non-worker claimants (parallelFor owners) have no sticky
      *  chunk preference. */
@@ -176,25 +167,16 @@ class ThreadPool
     /** Any batch with unclaimed chunks? (sleep_mutex_ held.) */
     bool claimableLocked() const;
     void workerLoop(std::size_t self);
-    bool tryRunOne(std::size_t self);
-    /** Gate one submission: fails once shutdown has begun. */
-    void beginSubmit(const char* what);
-    /** beginSubmit() that reports the closed gate instead of
-     *  throwing (the tryPost() path). */
-    bool tryBeginSubmit();
-    /** Queue one already-wrapped task (post/tryPost tail). */
-    void enqueueTask(std::function<void()> fn);
-    /** Publish @p published tasks and release the submission gate. */
-    void endSubmit(Index published);
+    /** Queue @p fn at the back of tasks_; false (queuing nothing)
+     *  once shutdown has begun. */
+    bool enqueueTask(std::function<void()> fn);
     /** Best-effort worker CPU pinning (Options::pinWorkers). */
     void pinWorkers();
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
     std::vector<std::unique_ptr<ScratchArena>> arenas_;
     std::vector<std::thread> workers_;
     std::mutex sleep_mutex_;
     std::condition_variable sleep_cv_;
-    std::atomic<std::size_t> next_queue_{0};
     std::once_flag join_once_;
     /** In-flight parallelFor calls with chunks left to claim or
      *  finish; guarded by sleep_mutex_. */
@@ -203,12 +185,10 @@ class ThreadPool
      *  the posted-task path (the serving pipeline) skip the global
      *  claim lock entirely when no parallelFor is in flight. */
     std::atomic<int> active_batches_{0};
-    /** Enqueued-but-not-started tasks; guarded by sleep_mutex_ so
-     *  the empty-check and the sleep are atomic (no lost wakeup). */
-    Index pending_ = 0;
-    /** Submissions past the gate but not yet published; workers
-     *  must not tear down while one is in flight. */
-    Index submitting_ = 0;
+    /** Posted-but-not-started tasks, oldest first; guarded by
+     *  sleep_mutex_ so the empty-check and the sleep are atomic (no
+     *  lost wakeup). */
+    std::deque<Task> tasks_;
     bool stop_ = false;
     bool pinned_ = false;
 };

@@ -295,6 +295,14 @@ writeArgs(std::ostream& os, const TraceEvent& e)
       case EventKind::kPlanCacheMiss:
         os << "{\"kind\": " << e.a0 << "}";
         return;
+      case EventKind::kNetFrameRx:
+      case EventKind::kNetFrameTx:
+        os << "{\"op\": " << e.a0 << ", \"bytes\": " << e.a1 << "}";
+        return;
+      case EventKind::kNetConn:
+        os << "{\"open\": " << e.a0 << ", \"transport\": " << e.a1
+           << "}";
+        return;
       case EventKind::kShardScatter:
         os << "{\"shards\": " << e.a0 << ", \"rhs\": " << e.a1 << "}";
         return;

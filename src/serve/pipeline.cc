@@ -1,11 +1,11 @@
 #include "serve/pipeline.hh"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/parallel_exec.hh"
 #include "engine/dispatch.hh"
 #include "kernels/util.hh"
 #include "obs/metrics.hh"
@@ -61,12 +61,22 @@ stageUs(Request::Clock::time_point from, Request::Clock::time_point to)
             .count());
 }
 
+/** Copy @p n values of one row; an SpMV column (n == 1) skips the
+ *  library call a general copy compiles to. */
+void
+copyRow(const Value* src, Index n, Value* dst)
+{
+    if (n == 1)
+        *dst = *src;
+    else
+        std::copy_n(src, n, dst);
+}
+
 } // namespace
 
 Pipeline::Pipeline(MatrixRegistry& registry, exec::ThreadPool& pool,
-                   ComputeExec compute, OverloadShedder* shedder)
-    : registry_(registry), pool_(pool), compute_(compute),
-      shedder_(shedder)
+                   OverloadShedder* shedder)
+    : registry_(registry), pool_(pool), shedder_(shedder)
 {}
 
 Pipeline::~Pipeline()
@@ -360,10 +370,8 @@ Pipeline::computeBatch(const QueueKey& key,
         obs::traceEnabled() ? obs::traceNowNs() : 0;
     switch (key.op) {
       case OpClass::kSpmv:
-        computeSpmv(key.matrix, batch);
-        break;
       case OpClass::kSpmm:
-        computeSpmm(key.matrix, batch);
+        computeBlock(key.matrix, batch);
         break;
       case OpClass::kSpadd:
         computeSpadd(key.matrix, batch);
@@ -376,8 +384,8 @@ Pipeline::computeBatch(const QueueKey& key,
 }
 
 void
-Pipeline::computeSpmv(const std::string& matrix,
-                      std::vector<Request>& batch)
+Pipeline::computeBlock(const std::string& matrix,
+                       std::vector<Request>& batch)
 {
     // The stack pins each shard's encoding epoch for the whole
     // compute: a concurrent mutation or drift re-encode swaps the
@@ -385,159 +393,98 @@ Pipeline::computeSpmv(const std::string& matrix,
     const std::shared_ptr<shard::ShardedMatrix> stack =
         registry_.sharded(matrix);
     const Index rows = stack->rows();
-    const auto nrhs = static_cast<Index>(batch.size());
-    exec::ThreadPool* const pool =
-        compute_ == ComputeExec::kParallel ? &pool_ : nullptr;
-
-    if (nrhs == 1) {
-        // Unbatched: a literal single-RHS dispatch.
-        auto& w = std::get<SpmvWork>(batch[0].work);
-        std::vector<Value> y(static_cast<std::size_t>(rows), Value(0));
-        stack->spmv(w.x, y, pool);
-        stats_.batches.fetch_add(1, std::memory_order_relaxed);
-        storeMax(stats_.widestBatch, 1);
-        batch[0].computed = Request::Clock::now();
-        auto shared = std::make_shared<std::vector<Request>>();
-        shared->push_back(std::move(batch[0]));
-        auto result = std::make_shared<std::vector<Value>>(std::move(y));
-        pool_.post([this, shared, result] {
-            deliver((*shared)[0], std::get<SpmvWork>((*shared)[0].work),
-                    std::move(*result));
-        });
-        return;
-    }
-
-    // Assemble the tall-skinny X block (one column per request,
-    // padded to the operand length the stack takes without a copy)
-    // and compute the whole batch with one traversal of the sparse
-    // operand. Row-outer loop order: X is row-major, so the writes
-    // stream through each nrhs-wide row instead of striding one
-    // cache line per element.
-    const Index xlen = stack->xLength();
-    fmt::DenseMatrix x(xlen, nrhs);
-    {
-        std::vector<const Value*> sources(
-            static_cast<std::size_t>(nrhs));
-        std::vector<Index> lens(static_cast<std::size_t>(nrhs));
-        for (Index r = 0; r < nrhs; ++r) {
-            const std::vector<Value>& xr =
-                std::get<SpmvWork>(
-                    batch[static_cast<std::size_t>(r)].work)
-                    .x;
-            sources[static_cast<std::size_t>(r)] = xr.data();
-            lens[static_cast<std::size_t>(r)] =
-                std::min(xlen, static_cast<Index>(xr.size()));
+    auto y = std::make_shared<fmt::DenseMatrix>();
+    const auto* lone = batch.size() == 1
+        ? std::get_if<SpmvWork>(&batch[0].work)
+        : nullptr;
+    if (lone != nullptr) {
+        // Unbatched: a literal single-RHS dispatch into Y's storage.
+        *y = fmt::DenseMatrix(rows, 1);
+        stack->spmv(lone->x, y->data(), nullptr);
+    } else {
+        // Concatenate every request's columns (one per SpMV, b.cols()
+        // per SpMM block) into one X block, zero-padded to the
+        // operand length the stack takes without a copy. The
+        // per-column arithmetic of the batched kernels is
+        // independent, so each request's Y columns are bit-identical
+        // to computing it alone — one traversal serves the batch.
+        struct Columns
+        {
+            const Value* data; //!< row j starts at data + j * cols
+            Index rows;
+            Index cols;
+        };
+        std::vector<Columns> parts;
+        parts.reserve(batch.size());
+        Index total = 0;
+        for (const Request& r : batch) {
+            if (const auto* w = std::get_if<SpmvWork>(&r.work))
+                parts.push_back(
+                    {w->x.data(), static_cast<Index>(w->x.size()), 1});
+            else {
+                const fmt::DenseMatrix& b = std::get<SpmmWork>(r.work).b;
+                parts.push_back({b.data().data(), b.rows(), b.cols()});
+            }
+            total += parts.back().cols;
         }
+        // Row-outer: X is row-major, so the writes stream through
+        // each wide row instead of striding one line per element.
+        const Index xlen = stack->xLength();
+        fmt::DenseMatrix x(xlen, total);
         for (Index j = 0; j < xlen; ++j) {
-            Value* row = x.rowData(j);
-            for (Index r = 0; r < nrhs; ++r)
-                row[r] = j < lens[static_cast<std::size_t>(r)]
-                    ? sources[static_cast<std::size_t>(r)]
-                             [static_cast<std::size_t>(j)]
-                    : Value(0);
+            Value* dst = x.rowData(j);
+            for (const Columns& p : parts) {
+                if (j < p.rows)
+                    copyRow(p.data + j * p.cols, p.cols, dst);
+                dst += p.cols;
+            }
         }
+        *y = fmt::DenseMatrix(rows, total);
+        stack->spmvBatch(x, *y, nullptr);
     }
-    auto y = std::make_shared<fmt::DenseMatrix>(rows, nrhs);
-    stack->spmvBatch(x, *y, pool);
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
-    storeMax(stats_.widestBatch, static_cast<std::uint64_t>(nrhs));
-    {
-        const Request::Clock::time_point done =
-            Request::Clock::now();
-        for (Request& r : batch)
-            r.computed = done;
-    }
+    storeMax(stats_.widestBatch,
+             static_cast<std::uint64_t>(batch.size()));
+    const Request::Clock::time_point done = Request::Clock::now();
+    for (Request& r : batch)
+        r.computed = done;
 
     // Reduce/deliver stage: its own task, so this worker can pick
     // up the next batch while another thread scatters results out.
     auto shared =
         std::make_shared<std::vector<Request>>(std::move(batch));
     pool_.post([this, shared, y, rows] {
-        // One streaming pass over the row-major Y block: each row
-        // scatters to every request's result, instead of one
-        // strided (line-per-element) pass per request.
-        const auto n = static_cast<Index>(shared->size());
-        std::vector<std::vector<Value>> outs(
-            static_cast<std::size_t>(n));
-        for (auto& out : outs)
-            out.resize(static_cast<std::size_t>(rows));
-        for (Index i = 0; i < rows; ++i) {
-            const Value* row = y->rowData(i);
-            for (Index r = 0; r < n; ++r)
-                outs[static_cast<std::size_t>(r)]
-                    [static_cast<std::size_t>(i)] = row[r];
-        }
-        for (Index r = 0; r < n; ++r) {
-            Request& req = (*shared)[static_cast<std::size_t>(r)];
-            deliver(req, std::get<SpmvWork>(req.work),
-                    std::move(outs[static_cast<std::size_t>(r)]));
-        }
-    });
-}
-
-void
-Pipeline::computeSpmm(const std::string& matrix,
-                      std::vector<Request>& batch)
-{
-    const std::shared_ptr<shard::ShardedMatrix> stack =
-        registry_.sharded(matrix);
-    const Index rows = stack->rows();
-    const Index xlen = stack->xLength();
-
-    // Concatenate every request's dense block into one wide X: the
-    // per-column arithmetic of the batched kernels is independent,
-    // so each block's C columns are bit-identical to computing its
-    // eng::spmmBatch alone — one traversal now serves all blocks.
-    Index total = 0;
-    for (const Request& r : batch)
-        total += std::get<SpmmWork>(r.work).b.cols();
-    fmt::DenseMatrix x(xlen, total);
-    Index off = 0;
-    for (const Request& r : batch) {
-        // Row-streaming copy: both blocks are row-major, so copy
-        // each source row into its slice of the wide row.
-        const fmt::DenseMatrix& b = std::get<SpmmWork>(r.work).b;
-        const Index jmax = std::min(xlen, b.rows());
-        const Index nc = b.cols();
-        for (Index j = 0; j < jmax; ++j) {
-            const Value* src = b.rowData(j);
-            Value* dst = x.rowData(j) + off;
-            for (Index c = 0; c < nc; ++c)
-                dst[c] = src[c];
-        }
-        off += nc;
-    }
-    auto y = std::make_shared<fmt::DenseMatrix>(rows, total);
-    stack->spmvBatch(
-        x, *y, compute_ == ComputeExec::kParallel ? &pool_ : nullptr);
-    stats_.batches.fetch_add(1, std::memory_order_relaxed);
-    storeMax(stats_.widestBatch,
-             static_cast<std::uint64_t>(batch.size()));
-    {
-        const Request::Clock::time_point done =
-            Request::Clock::now();
-        for (Request& r : batch)
-            r.computed = done;
-    }
-
-    // Deliver: slice each request's columns back out of the wide Y.
-    auto shared =
-        std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_.post([this, shared, y, rows] {
-        Index off = 0;
-        for (Request& req : *shared) {
-            auto& w = std::get<SpmmWork>(req.work);
-            const Index nc = w.b.cols();
-            fmt::DenseMatrix out(rows, nc);
-            // Row-streaming slice out of the wide row-major Y.
-            for (Index i = 0; i < rows; ++i) {
-                const Value* src = y->rowData(i) + off;
-                Value* dst = out.rowData(i);
-                for (Index c = 0; c < nc; ++c)
-                    dst[c] = src[c];
+        std::vector<fmt::DenseMatrix> outs;
+        outs.reserve(shared->size());
+        if (shared->size() == 1) {
+            outs.push_back(std::move(*y)); // a lone request owns Y
+        } else {
+            std::vector<Value*> dst;
+            dst.reserve(shared->size());
+            for (const Request& r : *shared) {
+                const auto* w = std::get_if<SpmmWork>(&r.work);
+                outs.emplace_back(rows, w != nullptr ? w->b.cols() : 1);
+                dst.push_back(outs.back().data().data());
             }
-            off += nc;
-            deliver(req, w, std::move(out));
+            // One streaming pass over the row-major Y block: each row
+            // scatters to every request's result, instead of one
+            // strided (line-per-element) pass per request.
+            const Value* src = y->data().data();
+            for (Index i = 0; i < rows; ++i)
+                for (std::size_t r = 0; r < outs.size(); ++r) {
+                    const Index nc = outs[r].cols();
+                    copyRow(src, nc, dst[r]);
+                    src += nc;
+                    dst[r] += nc;
+                }
+        }
+        for (std::size_t r = 0; r < outs.size(); ++r) {
+            Request& req = (*shared)[r];
+            if (auto* w = std::get_if<SpmvWork>(&req.work))
+                deliver(req, *w, std::move(outs[r].data()));
+            else
+                deliver(req, std::get<SpmmWork>(req.work),
+                        std::move(outs[r]));
         }
     });
 }
@@ -561,14 +508,9 @@ Pipeline::computeSpadd(const std::string& matrix,
                 registry_.encodedAs(matrix, eng::Format::kCsr);
             const MatrixRegistry::EncodingPtr b =
                 registry_.encodedAs(w.other, eng::Format::kCsr);
-            eng::SparseMatrixAny sum = [&] {
-                if (compute_ == ComputeExec::kParallel) {
-                    exec::ParallelExec pe(pool_);
-                    return eng::spadd(a->ref(), b->ref(), pe);
-                }
-                sim::NativeExec ne;
-                return eng::spadd(a->ref(), b->ref(), ne);
-            }();
+            sim::NativeExec ne;
+            const eng::SparseMatrixAny sum =
+                eng::spadd(a->ref(), b->ref(), ne);
             req.computed = Request::Clock::now();
             deliver(req, w, sum.as<fmt::CooMatrix>());
         } catch (const std::exception& ex) {

@@ -7,11 +7,16 @@
  *       needs through the registry (first touch converts, later
  *       touches hit the cache) and hand the request to the batcher;
  *   compute        — lower a flushed (matrix, op) batch onto one
- *       engine call: SpMV batches onto eng::spmvBatch, SpMM blocks
- *       concatenate onto eng::spmmBatch, SpAdd merges run per
- *       request through eng::spadd;
+ *       serial call on the matrix stack: the batch's SpMV operands
+ *       or SpMM blocks concatenate into one X block for spmvBatch
+ *       (a lone SpMV takes spmv), SpAdd merges run per request
+ *       through eng::spadd;
  *   reduce/deliver — scatter results back per request and fulfil
  *       the promises with serve::Result values.
+ *
+ * Every compute runs on one worker, so batches overlap across the
+ * pool (throughput mode); the batcher counts one compute slot per
+ * worker.
  *
  * Because the stages are independent tasks, the expensive CSR→SMASH
  * conversion of one request overlaps the compute of another — the
@@ -58,15 +63,6 @@ namespace smash::serve
 {
 
 class OverloadShedder;
-
-/** How the compute stage executes one batch. */
-enum class ComputeExec
-{
-    kSerial,   //!< native serial kernel inside the worker task
-               //!< (throughput mode: batches overlap across workers)
-    kParallel, //!< ParallelExec spread over the same pool (latency
-               //!< mode: one batch uses every worker)
-};
 
 /** Stage boundaries of one delivered request's lifetime (the index
  *  into PipelineStats::stageLatency). */
@@ -150,7 +146,7 @@ class Pipeline
     /** @p shedder (optional) receives each delivered request's
      *  queue-side latency — the degradation ladder's EWMA signal. */
     Pipeline(MatrixRegistry& registry, exec::ThreadPool& pool,
-             ComputeExec compute, OverloadShedder* shedder = nullptr);
+             OverloadShedder* shedder = nullptr);
 
     Pipeline(const Pipeline&) = delete;
     Pipeline& operator=(const Pipeline&) = delete;
@@ -214,10 +210,10 @@ class Pipeline
   private:
     void computeBatch(const QueueKey& key,
                       std::vector<Request>& batch);
-    void computeSpmv(const std::string& matrix,
-                     std::vector<Request>& batch);
-    void computeSpmm(const std::string& matrix,
-                     std::vector<Request>& batch);
+    /** SpMV and SpMM: one X block of every request's columns, one
+     *  stack call, one row-major pass over Y to deliver. */
+    void computeBlock(const std::string& matrix,
+                      std::vector<Request>& batch);
     void computeSpadd(const std::string& matrix,
                       std::vector<Request>& batch);
     /** Resolve one delivered request: value, latency, accounting. */
@@ -239,7 +235,6 @@ class Pipeline
 
     MatrixRegistry& registry_;
     exec::ThreadPool& pool_;
-    const ComputeExec compute_;
     OverloadShedder* const shedder_;
     PipelineStats stats_;
 

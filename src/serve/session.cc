@@ -32,24 +32,20 @@ resolveBatchDelay(const SessionOptions& options)
 
 Session::Session(MatrixRegistry& registry, const SessionOptions& options)
     : registry_(registry), options_(options),
-      pool_(exec::ThreadPool::Options{options.threads,
-                                      options.pinWorkers}),
+      pool_(options.threads),
       shedder_(options.shed, options.maxInflight),
-      pipeline_(registry, pool_, options.compute, &shedder_),
+      pipeline_(registry, pool_, &shedder_),
       batcher_(options.maxBatch, options.maxDelay,
                resolveBatchDelay(options),
                [this](const QueueKey& key, std::vector<Request> batch) {
                    pipeline_.postCompute(key, std::move(batch),
                                          batcher_);
                },
-               // One parallel batch spans the whole pool; serial
-               // batches each take one worker.
-               options.compute == ComputeExec::kParallel ? 1
-                                                         : pool_.size())
+               // Each batch computes serially on one worker.
+               pool_.size())
 {
-    SMASH_CHECK(options_.maxInflight >= 0 &&
-                    options_.maxInflightPerMatrix >= 0,
-                "in-flight limits must be non-negative");
+    SMASH_CHECK(options_.maxInflight >= 0,
+                "in-flight limit must be non-negative");
     // Drift re-encodes of served matrices run as tasks on this
     // session's pool (latest-constructed session wins the hook
     // when several share the registry).
@@ -99,21 +95,13 @@ Session::shedCheck(const RequestOptions& options)
 }
 
 Session::Admitted
-Session::admit(const std::string& matrix, const RequestOptions& options,
+Session::admit(const RequestOptions& options,
                Request::Clock::time_point expiry)
 {
     std::unique_lock<std::mutex> lock(gate_.mutex);
     const auto full = [&] {
-        if (options_.maxInflight > 0 &&
-            gate_.total >= options_.maxInflight)
-            return true;
-        if (options_.maxInflightPerMatrix > 0) {
-            auto it = gate_.perMatrix.find(matrix);
-            if (it != gate_.perMatrix.end() &&
-                it->second >= options_.maxInflightPerMatrix)
-                return true;
-        }
-        return false;
+        return options_.maxInflight > 0 &&
+            gate_.total >= options_.maxInflight;
     };
     for (;;) {
         if (gate_.closing)
@@ -128,10 +116,8 @@ Session::admit(const std::string& matrix, const RequestOptions& options,
                     "smash_admission_rejects_total{reason="
                     "\"overloaded\"}");
             rejects.inc();
-            return {nullptr,
-                    Status(StatusCode::kOverloaded,
-                           "in-flight limit reached for '" + matrix +
-                               "'")};
+            return {nullptr, Status(StatusCode::kOverloaded,
+                                    "in-flight limit reached")};
         }
         if (expiry == Request::Clock::time_point::max()) {
             gate_.freed.wait(lock); // woken by release() or close()
@@ -151,7 +137,6 @@ Session::admit(const std::string& matrix, const RequestOptions& options,
         }
     }
     ++gate_.total;
-    ++gate_.perMatrix[matrix];
     inflight_now_.store(gate_.total, std::memory_order_relaxed);
     static obs::Gauge& inflight =
         obs::MetricsRegistry::global().gauge(
@@ -160,23 +145,18 @@ Session::admit(const std::string& matrix, const RequestOptions& options,
     // The ticket returns the slot when the envelope dies — at
     // delivery, expiry, or any failure path, without the pipeline
     // having to know about admission at all.
-    std::shared_ptr<void> ticket(
-        new std::string(matrix), [this](void* p) {
-            auto* name = static_cast<std::string*>(p);
-            release(*name);
-            delete name;
-        });
+    // The pointer only has to be non-null (a null ticket means
+    // "denied"); the deleter is what matters.
+    std::shared_ptr<void> ticket(static_cast<void*>(this),
+                                 [this](void*) { release(); });
     return {std::move(ticket), Status()};
 }
 
 void
-Session::release(const std::string& matrix)
+Session::release()
 {
     {
         std::lock_guard<std::mutex> lock(gate_.mutex);
-        auto it = gate_.perMatrix.find(matrix);
-        if (it != gate_.perMatrix.end() && --it->second == 0)
-            gate_.perMatrix.erase(it);
         if (gate_.total > 0)
             --gate_.total;
         inflight_now_.store(gate_.total, std::memory_order_relaxed);
@@ -276,7 +256,7 @@ Session::submitWork(Req& req, std::string& matrix, OpClass op,
         done.resolve(std::move(s));
         return;
     }
-    Admitted admitted = admit(matrix, req.options, expiry);
+    Admitted admitted = admit(req.options, expiry);
     if (!admitted.ticket) {
         done.resolve(std::move(admitted.status));
         return;

@@ -20,16 +20,16 @@
  *   serve::Result<std::vector<Value>> r = f.get();
  *   if (r.ok()) use(r.value());             // y = A x
  *
- * Admission control: SessionOptions::maxInflight and
- * maxInflightPerMatrix bound the requests between submit() and
- * delivery. At capacity, a request's RequestOptions decide —
- * kFailFast resolves to kOverloaded immediately; kBlock waits for
- * a slot (bounded by the request's deadline). Priorities shape the
- * batcher's flush order: kHigh flushes its queue now; kNormal
- * flushes at once while a compute slot is free (threads under
- * ComputeExec::kSerial, 1 under kParallel) and otherwise when one
- * frees — maxDelay is a cap that binds only while every slot is
- * busy, not a wait; kBatch waits for company within batchDelay.
+ * Admission control: SessionOptions::maxInflight bounds the
+ * requests between submit() and delivery. At capacity, a request's
+ * RequestOptions decide — kFailFast resolves to kOverloaded
+ * immediately; kBlock waits for a slot (bounded by the request's
+ * deadline). Priorities shape the batcher's flush order: kHigh
+ * flushes its queue now; kNormal flushes at once while a compute
+ * slot is free (one per pool worker: each batch computes serially
+ * on one worker) and otherwise when one frees — maxDelay is a cap
+ * that binds only while every slot is busy, not a wait; kBatch
+ * waits for company within batchDelay.
  *
  * Sessions are thread-safe: any number of client threads may
  * submit() concurrently, and several Sessions may share one
@@ -63,7 +63,6 @@
 #include <future>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -86,14 +85,8 @@ struct SessionOptions
     /** kBatch flush cap; zero means 8 x maxDelay, and a value
      *  below maxDelay is raised to it. */
     std::chrono::microseconds batchDelay{0};
-    ComputeExec compute = ComputeExec::kSerial;
-    /** In-flight request caps (submit → delivery); 0 = unbounded. */
+    /** In-flight request cap (submit → delivery); 0 = unbounded. */
     Index maxInflight = 0;
-    Index maxInflightPerMatrix = 0;
-    /** Pin pool workers to CPUs (round-robin, Linux best-effort;
-     *  see exec::ThreadPool::Options::pinWorkers). Keeps a served
-     *  matrix's sticky partitions resident on the same cores. */
-    bool pinWorkers = false;
     /** Graceful-degradation ladder (shed.hh): under sustained
      *  overload the session sheds kBatch first, then kNormal, kHigh
      *  last. Default-disabled (queueTarget == 0). */
@@ -199,7 +192,6 @@ class Session
         std::mutex mutex;
         std::condition_variable freed;
         Index total = 0;
-        std::unordered_map<std::string, Index> perMatrix;
         bool closing = false;
     };
 
@@ -222,11 +214,10 @@ class Session
     Status precheck(const SpmmRequest& req) const;
     Status precheck(const SpaddRequest& req) const;
     /** Take one in-flight slot (or block/deny per @p options). */
-    Admitted admit(const std::string& matrix,
-                   const RequestOptions& options,
+    Admitted admit(const RequestOptions& options,
                    Request::Clock::time_point expiry);
     /** Return one slot and wake blocked admitters. */
-    void release(const std::string& matrix);
+    void release();
     /** Build the envelope and post stage 1. */
     template <typename Work>
     void launch(QueueKey key, const RequestOptions& options,

@@ -2,15 +2,18 @@
  * @file
  * Tests for the execution engine: format-agnostic dispatch against
  * the dense oracle, the capability registry, format auto-selection,
- * the work-stealing thread pool, and parallel-vs-serial agreement
+ * the thread pool, and parallel-vs-serial agreement
  * of the multi-threaded SpMV drivers.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 
 #include "common/parallel_exec.hh"
@@ -378,6 +381,51 @@ TEST(ThreadPool, PropagatesExceptions)
                 SMASH_FATAL("boom");
         }),
         FatalError);
+}
+
+TEST(ThreadPool, PostedTasksRunInSubmissionOrder)
+{
+    exec::ThreadPool pool(2);
+    std::mutex mutex;
+    std::condition_variable cv;
+    int parked = 0;
+    bool released[2] = {false, false};
+    std::vector<int> order;
+
+    // Park both workers on blockers, so every task posted next waits
+    // in the queue until a blocker returns.
+    for (int b = 0; b < 2; ++b)
+        pool.post([&, b] {
+            std::unique_lock<std::mutex> lock(mutex);
+            ++parked;
+            cv.notify_all();
+            cv.wait(lock, [&] { return released[b]; });
+        });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return parked == 2; });
+    }
+    for (int t = 0; t < 10; ++t)
+        pool.post([&, t] {
+            std::lock_guard<std::mutex> lock(mutex);
+            order.push_back(t);
+            cv.notify_all();
+        });
+
+    // One freed worker runs all ten, one at a time, oldest first.
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        released[0] = true;
+        cv.notify_all();
+        EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return order.size() == 10; }));
+        released[1] = true;
+        cv.notify_all();
+    }
+    pool.shutdown();
+    std::vector<int> want(10);
+    std::iota(want.begin(), want.end(), 0);
+    EXPECT_EQ(order, want);
 }
 
 TEST(ParallelExec, MatchesSerialOnAsymmetricMatrices)

@@ -311,6 +311,34 @@ TEST(TraceDump, ProducesValidJson)
         "{\"a\": [1, 2.5, -3e2, \"s\\u00e9\", true, null]}", error));
 }
 
+TEST(TraceDump, WireEventsCarryNamedArgs)
+{
+    obs::TraceCollector& tc = obs::TraceCollector::global();
+    const bool was_on = obs::traceEnabled();
+    obs::setTraceEnabled(true);
+    tc.clear();
+    obs::record(obs::EventKind::kNetFrameRx, 1, 4321);
+    obs::record(obs::EventKind::kNetFrameTx, 2, 8765);
+    obs::record(obs::EventKind::kNetConn, 1, 3);
+    obs::setTraceEnabled(was_on);
+
+    std::ostringstream os;
+    tc.dumpJson(os);
+    const std::string json = os.str();
+    std::string error;
+    EXPECT_TRUE(obs::validateJson(json, error)) << error;
+    EXPECT_NE(json.find("{\"op\": 1, \"bytes\": 4321}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"op\": 2, \"bytes\": 8765}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"open\": 1, \"transport\": 3}"),
+              std::string::npos)
+        << json;
+    tc.clear();
+}
+
 TEST(ZeroAlloc, WarmedInstrumentedSpmvPathsStayHeapFree)
 {
     eng::SparseMatrixAny m(

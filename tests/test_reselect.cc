@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel_exec.hh"
 #include "engine/autoselect.hh"
 #include "engine/dispatch.hh"
 #include "engine/mutate.hh"
@@ -842,11 +843,13 @@ TEST(PlanInvalidation, MutatedMatrixBitMatchesColdPlanRun)
 TEST(PlanInvalidation, AsyncReencodeSwapNeverServesStalePlans)
 {
     // Drift a DIA matrix across the format boundary while serving
-    // parallel SpMVs: every result — before, during, and after the
-    // async re-encode epoch swap — must bit-match the oracle of the
-    // fixed post-drift content. The swap installs a fresh
-    // SparseMatrixAny (fresh plan cache); a plan leaking across
-    // epochs would index the wrong structure and diverge.
+    // SpMVs: every result — before, during, and after the async
+    // re-encode epoch swap — must bit-match the oracle of the fixed
+    // post-drift content. The swap installs a fresh SparseMatrixAny
+    // (fresh plan cache); a plan leaking across epochs would index
+    // the wrong structure and diverge. Served requests compute
+    // serially and never build plans, so parallel SpMVs over
+    // snapshots of the served encoding keep the plans in play.
     const Index n = 256;
     for (int threads : threadCounts()) {
         serve::MatrixRegistry registry;
@@ -854,8 +857,15 @@ TEST(PlanInvalidation, AsyncReencodeSwapNeverServesStalePlans)
                   eng::Format::kDia);
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.compute = serve::ComputeExec::kParallel; // plans in play
         serve::Session session(registry, opts);
+        exec::ParallelExec pe(threads);
+        const auto parallelSpmv = [&] {
+            std::vector<Value> y(static_cast<std::size_t>(n), Value(0));
+            eng::spmv(registry.encoded("live")->ref(),
+                      dyadicOperand(n, 5), y, pe);
+            return y;
+        };
+        parallelSpmv(); // caches a plan on the pre-drift encoding
 
         ASSERT_TRUE(session
                         .submit(serve::SpmvRequest{
@@ -880,6 +890,7 @@ TEST(PlanInvalidation, AsyncReencodeSwapNeverServesStalePlans)
             eng::spmv(registry.encoded("live")->ref(),
                       dyadicOperand(n, 5), oracle, e);
         }
+        ASSERT_EQ(parallelSpmv(), oracle) << "threads " << threads;
         // Serve across the in-flight swap.
         for (int i = 0; i < 20; ++i) {
             const std::vector<Value> got =
@@ -890,6 +901,8 @@ TEST(PlanInvalidation, AsyncReencodeSwapNeverServesStalePlans)
                     .value();
             ASSERT_EQ(got, oracle)
                 << "request " << i << " threads " << threads;
+            ASSERT_EQ(parallelSpmv(), oracle)
+                << "parallel " << i << " threads " << threads;
         }
         ASSERT_TRUE(waitReencodeSettled(registry, "live"));
         session.drain();
@@ -902,6 +915,7 @@ TEST(PlanInvalidation, AsyncReencodeSwapNeverServesStalePlans)
                 .get()
                 .value();
         ASSERT_EQ(after, oracle) << "threads " << threads;
+        ASSERT_EQ(parallelSpmv(), oracle) << "threads " << threads;
     }
 }
 

@@ -722,51 +722,46 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
     const Index n_req = 40;
 
     for (int threads : threadCounts()) {
-        for (serve::ComputeExec compute :
-             {serve::ComputeExec::kSerial,
-              serve::ComputeExec::kParallel}) {
-            serve::SessionOptions opts;
-            opts.threads = threads;
-            opts.maxBatch = 8;
-            // kBatch waits for company (a free compute slot never
-            // flushes it) and its cap is long enough that no
-            // deadline flush fires: every batch leaves the batcher
-            // because its queue reached maxBatch.
-            opts.batchDelay = std::chrono::seconds(10);
-            opts.compute = compute;
-            serve::Session session(registry, opts);
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        opts.maxBatch = 8;
+        // kBatch waits for company (a free compute slot never
+        // flushes it) and its cap is long enough that no deadline
+        // flush fires: every batch leaves the batcher because its
+        // queue reached maxBatch.
+        opts.batchDelay = std::chrono::seconds(10);
+        serve::Session session(registry, opts);
 
-            serve::RequestOptions ropts;
-            ropts.priority = serve::Priority::kBatch;
-            std::vector<std::future<
-                serve::Result<std::vector<Value>>>> futures;
-            for (Index r = 0; r < n_req; ++r)
-                futures.push_back(session.submit(serve::SpmvRequest{
-                    "m", rampVector(200, r % 6), ropts}));
-            for (Index r = 0; r < n_req; ++r) {
-                serve::Result<std::vector<Value>> result =
-                    futures[static_cast<std::size_t>(r)].get();
-                ASSERT_TRUE(result.ok()) << result.status().toString();
-                const std::vector<Value>& got = result.value();
-                const std::vector<Value> want =
-                    serialOracle(registry, "m", rampVector(200, r % 6));
-                ASSERT_EQ(got.size(), want.size());
-                for (std::size_t i = 0; i < got.size(); ++i)
-                    ASSERT_NEAR(got[i], want[i], 1e-12)
-                        << "threads " << threads << " request " << r;
-            }
-            session.drain();
-            EXPECT_EQ(session.stats().completed.load(), 40u);
-            EXPECT_EQ(session.stats().failed.load(), 0u);
-            // Batching amortizes: the equal answers above came from
-            // one kernel dispatch per full batch, not per request.
-            EXPECT_EQ(session.stats().batches.load(),
-                      static_cast<std::uint64_t>(n_req / opts.maxBatch))
-                << "threads " << threads;
-            EXPECT_EQ(session.stats().widestBatch.load(),
-                      static_cast<std::uint64_t>(opts.maxBatch))
-                << "threads " << threads;
+        serve::RequestOptions ropts;
+        ropts.priority = serve::Priority::kBatch;
+        std::vector<std::future<serve::Result<std::vector<Value>>>>
+            futures;
+        for (Index r = 0; r < n_req; ++r)
+            futures.push_back(session.submit(serve::SpmvRequest{
+                "m", rampVector(200, r % 6), ropts}));
+        for (Index r = 0; r < n_req; ++r) {
+            serve::Result<std::vector<Value>> result =
+                futures[static_cast<std::size_t>(r)].get();
+            ASSERT_TRUE(result.ok()) << result.status().toString();
+            const std::vector<Value>& got = result.value();
+            const std::vector<Value> want =
+                serialOracle(registry, "m", rampVector(200, r % 6));
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_NEAR(got[i], want[i], 1e-12)
+                    << "threads " << threads << " request " << r;
         }
+        session.drain();
+        EXPECT_EQ(session.stats().completed.load(), 40u);
+        EXPECT_EQ(session.stats().failed.load(), 0u);
+        // Batching amortizes: the equal answers above came from one
+        // kernel dispatch per full batch, not per request.
+        EXPECT_EQ(session.stats().batches.load(),
+                  static_cast<std::uint64_t>(n_req / opts.maxBatch))
+            << "threads " << threads;
+        EXPECT_EQ(session.stats().widestBatch.load(),
+                  static_cast<std::uint64_t>(opts.maxBatch))
+            << "threads " << threads;
     }
 }
 
@@ -775,37 +770,28 @@ TEST(ServeSession, LoneNormalRequestSkipsMaxDelay)
     serve::MatrixRegistry registry;
     registry.put("m", wl::genClustered(96, 96, 1000, 5, 43));
     for (int threads : threadCounts()) {
-        for (serve::ComputeExec compute :
-             {serve::ComputeExec::kSerial,
-              serve::ComputeExec::kParallel}) {
-            serve::SessionOptions opts;
-            opts.threads = threads;
-            opts.maxBatch = 8;
-            opts.maxDelay = std::chrono::seconds(10);
-            opts.compute = compute;
-            serve::Session session(registry, opts);
-            // Serial batches take one worker each; one parallel
-            // batch spans the pool.
-            EXPECT_EQ(session.batcher().computeSlots(),
-                      compute == serve::ComputeExec::kParallel
-                          ? 1
-                          : session.threads());
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        opts.maxBatch = 8;
+        opts.maxDelay = std::chrono::seconds(10);
+        serve::Session session(registry, opts);
+        // Every batch computes on one worker: one slot per worker.
+        EXPECT_EQ(session.batcher().computeSlots(), threads);
 
-            for (Index r = 0; r < 3; ++r) {
-                const auto t0 = std::chrono::steady_clock::now();
-                auto f = session.submit(
-                    serve::SpmvRequest{"m", rampVector(96, r), {}});
-                ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
-                          std::future_status::ready);
-                EXPECT_LT(std::chrono::steady_clock::now() - t0,
-                          std::chrono::milliseconds(100))
-                    << "threads " << threads;
-                ASSERT_TRUE(f.get().ok());
-            }
-            session.drain();
-            EXPECT_EQ(session.batcher().deadlineFlushes(), 0u);
-            EXPECT_GE(session.batcher().idleFlushes(), 3u);
+        for (Index r = 0; r < 3; ++r) {
+            const auto t0 = std::chrono::steady_clock::now();
+            auto f = session.submit(
+                serve::SpmvRequest{"m", rampVector(96, r), {}});
+            ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+                      std::future_status::ready);
+            EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                      std::chrono::milliseconds(100))
+                << "threads " << threads;
+            ASSERT_TRUE(f.get().ok());
         }
+        session.drain();
+        EXPECT_EQ(session.batcher().deadlineFlushes(), 0u);
+        EXPECT_GE(session.batcher().idleFlushes(), 3u);
     }
 }
 
@@ -1059,7 +1045,7 @@ TEST(Admission, FailFastSaturationReturnsOverloaded)
         opts.maxBatch = 64;               // nothing flushes by size
         opts.maxDelay = std::chrono::seconds(10); // ... or deadline
         opts.batchDelay = std::chrono::seconds(10);
-        opts.maxInflightPerMatrix = 4;
+        opts.maxInflight = 4;
         serve::Session session(registry, opts);
 
         // kBatch priority parks the admitted requests in the
@@ -1115,7 +1101,7 @@ TEST(Admission, BlockingRequestsEventuallyComplete)
         opts.threads = threads;
         opts.maxBatch = 2;
         opts.maxDelay = std::chrono::microseconds(500);
-        opts.maxInflightPerMatrix = 2;
+        opts.maxInflight = 2;
         serve::Session session(registry, opts);
 
         // 3 clients x 4 requests against a 2-slot gate: submits

@@ -469,7 +469,6 @@ TEST(Shard, RegisterShardedK1MatchesPut)
     for (int threads : threadCounts()) {
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.compute = serve::ComputeExec::kParallel;
         serve::Session session(plain_reg, opts);
         const std::vector<Value> served =
             session.submit(serve::SpmvRequest{"m", x}).get().value();
