@@ -101,8 +101,8 @@ main()
               << "\nshort operand   -> " << short_x.status().toString()
               << "\n";
 
-    // 4. SpMM: a dense multi-RHS block, one traversal per batch of
-    //    concurrent blocks. SpAdd: merge two registered matrices.
+    // 4. SpMM: a dense multi-RHS block, one SpMV per column. SpAdd:
+    //    merge two registered matrices.
     fmt::DenseMatrix block(1024, 4);
     for (Index c = 0; c < 4; ++c)
         for (Index j = 0; j < 1024; ++j)

@@ -59,7 +59,6 @@
 #include "kernels/spgemm.hh"
 #include "kernels/spmm.hh"
 #include "kernels/spmv.hh"
-#include "kernels/spmv_batch.hh"
 #include "kernels/spmv_structured.hh"
 #include "kernels/util.hh"
 #include "sim/exec_model.hh"
@@ -119,8 +118,7 @@ noteDispatch(Format f, obs::DispatchPath path)
             "smash_dispatch_total{path=\"word_walk\"}"),
         &obs::MetricsRegistry::global().counter(
             "smash_dispatch_total{path=\"scatter\"}"),
-        &obs::MetricsRegistry::global().counter(
-            "smash_dispatch_total{path=\"batch_rows\"}"),
+        nullptr, // 5: retired (no DispatchPath carries it)
         &obs::MetricsRegistry::global().counter(
             "smash_dispatch_total{path=\"row_col_tiles\"}"),
     };
@@ -490,119 +488,6 @@ parallelSpmv(const MatrixRef& a, const std::vector<Value>& x,
 }
 
 /**
- * Per-RHS fallback of the batched SpMV for formats without a
- * single-traversal batch kernel: each column of X/Y round-trips
- * through the single-RHS dispatch (one matrix traversal per RHS —
- * correct, just not amortized).
- */
-template <typename E>
-void
-spmvBatchPerRhs(const MatrixRef& a, const fmt::DenseMatrix& x,
-                fmt::DenseMatrix& y, E& e)
-{
-    const Index nrhs = x.cols();
-    exec::ScratchArena& arena = exec::ScratchArena::local();
-    std::vector<Value>& xr = arena.values(
-        exec::ScratchArena::kBatchXr,
-        static_cast<std::size_t>(x.rows()));
-    std::vector<Value>& yr = arena.values(
-        exec::ScratchArena::kBatchYr,
-        static_cast<std::size_t>(y.rows()));
-    for (Index r = 0; r < nrhs; ++r) {
-        for (Index j = 0; j < x.rows(); ++j)
-            xr[static_cast<std::size_t>(j)] = x.at(j, r);
-        for (Index i = 0; i < y.rows(); ++i)
-            yr[static_cast<std::size_t>(i)] = y.at(i, r);
-        spmv(a, xr, yr, e, SpmvOptions{});
-        for (Index i = 0; i < y.rows(); ++i)
-            y.at(i, r) = yr[static_cast<std::size_t>(i)];
-    }
-}
-
-/** Multi-threaded batched-SpMV drivers (row ranges over the batch
- *  kernels; SMASH word ranges with per-thread Y accumulators). */
-inline void
-parallelSpmvBatch(const MatrixRef& a, const fmt::DenseMatrix& x,
-                  fmt::DenseMatrix& y, exec::ParallelExec& e)
-{
-    const Index chunk_goal = chunkGoal(e);
-    switch (a.format()) {
-      case Format::kCsr: {
-        const auto& m = a.as<fmt::CsrMatrix>();
-        noteDispatch(Format::kCsr, obs::DispatchPath::kBatchRows);
-        const PlanCache::PlanPtr plan = cutsPlan(
-            a, PlanKind::kRowCuts, m.rowPtr(), m.rows(), chunk_goal);
-        const std::vector<Index>& cuts = plan->cuts;
-        const simd::KernelTable& kt = simd::kernels();
-        e.parallelFor(0, static_cast<Index>(cuts.size()) - 1, 1,
-                      [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c)
-                kt.csrSpmvBatchRange(
-                    m, x, y, cuts[static_cast<std::size_t>(c)],
-                    cuts[static_cast<std::size_t>(c) + 1]);
-        });
-        return;
-      }
-      case Format::kEll: {
-        const auto& m = a.as<fmt::EllMatrix>();
-        noteDispatch(Format::kEll, obs::DispatchPath::kBatchRows);
-        e.parallelFor(0, m.rows(), 64, [&](Index rb, Index re) {
-            sim::NativeExec ne;
-            kern::spmvBatchEllRange(m, x, y, rb, re, ne);
-        });
-        return;
-      }
-      case Format::kDia: {
-        const auto& m = a.as<fmt::DiaMatrix>();
-        noteDispatch(Format::kDia, obs::DispatchPath::kBatchRows);
-        e.parallelFor(0, m.rows(), 64, [&](Index rb, Index re) {
-            sim::NativeExec ne;
-            kern::spmvBatchDiaRange(m, x, y, rb, re, ne);
-        });
-        return;
-      }
-      case Format::kDense: {
-        const auto& m = a.as<fmt::DenseMatrix>();
-        noteDispatch(Format::kDense, obs::DispatchPath::kBatchRows);
-        e.parallelFor(0, m.rows(), 16, [&](Index rb, Index re) {
-            sim::NativeExec ne;
-            kern::spmvBatchDenseRange(m, x, y, rb, re, ne);
-        });
-        return;
-      }
-      case Format::kSmash: {
-        // Same word partition as the single-RHS driver; the private
-        // accumulators are the flat rows x nrhs blocks.
-        const auto& m = a.as<core::SmashMatrix>();
-        noteDispatch(Format::kSmash, obs::DispatchPath::kWordWalk);
-        const PlanCache::PlanPtr plan = wordWalkPlan(a, m, e);
-        const PartitionPlan& part = *plan;
-        const Index nrhs = y.cols();
-        const simd::KernelTable& kt = simd::kernels();
-        scatterParallel(
-            e, part.chunks(), y.data(),
-            [&](Index cb, Index ce, std::vector<Value>& local) {
-                for (Index c = cb; c < ce; ++c) {
-                    const Index wb = c * part.grain;
-                    const Index we =
-                        std::min(part.words, wb + part.grain);
-                    kt.smashSpmvBatchWords(
-                        m, x, local.data(), nrhs, wb, we,
-                        part.base[static_cast<std::size_t>(c)]);
-                }
-            });
-        return;
-      }
-      case Format::kCoo:
-      case Format::kCsc:
-      case Format::kBcsr:
-        spmvBatchPerRhs(a, x, y, e);
-        return;
-    }
-    SMASH_PANIC("unknown format tag");
-}
-
-/**
  * Multi-threaded CSR x CSC SpMM: the output is partitioned into
  * nnz-balanced row-range x column-band tiles (rows balanced by A's
  * row populations, bands by B's column populations) and each tile
@@ -776,103 +661,44 @@ spmv(const MatrixRef& a, const std::vector<Value>& x,
 
 /**
  * Batched SpMV through the dispatch layer: Y := Y + A X for a block
- * of right-hand sides, one per column of X (xLength rows — callers
- * pad, see MatrixRef::xLength()) and Y (A.rows() rows). Formats
- * with batchSpmv capability traverse the matrix once for the whole
- * block (the serving-throughput path); the rest fall back to one
- * single-RHS dispatch per column. Under ParallelExec the row-range
- * (or SMASH word-range) batch drivers run.
+ * of right-hand sides, one per column of X and Y (A.rows() rows).
+ * X may be given at the logical height A.cols() or padded up to
+ * A.xLength(). Each column is staged in the calling thread's arena
+ * and runs spmv() under the same execution model, so a batched
+ * column equals the unbatched answer bit for bit, whatever the
+ * format, the batch width or the thread count. This is the serving
+ * layer's SpMM request path (one logical SpMV per column of B).
  */
 template <typename E>
 void
 spmvBatch(const MatrixRef& a, const fmt::DenseMatrix& x,
           fmt::DenseMatrix& y, E& e)
 {
-    SMASH_CHECK(capabilities(a.format()).spmv, toString(a.format()),
-                " has no SpMV kernel");
-    SMASH_CHECK(x.rows() >= a.xLength(), "X block has ", x.rows(),
-                " rows, the ", toString(a.format()),
-                " operand needs ", a.xLength());
+    SMASH_CHECK(x.rows() >= a.cols(), "X block has ", x.rows(),
+                " rows, the matrix has ", a.cols(), " columns");
     SMASH_CHECK(y.rows() >= a.rows(), "Y block too short");
     SMASH_CHECK(x.cols() == y.cols(), "X carries ", x.cols(),
                 " right-hand sides, Y carries ", y.cols());
-    if (x.cols() == 0)
-        return;
-
-    if constexpr (std::is_same_v<std::decay_t<E>, exec::ParallelExec>) {
-        detail::parallelSpmvBatch(a, x, y, e);
-        return;
-    } else {
-        if constexpr (!E::kSimulated)
-            detail::noteDispatch(a.format(), obs::DispatchPath::kSerial);
-        switch (a.format()) {
-          case Format::kCsr:
-            if constexpr (!E::kSimulated)
-                simd::kernels().csrSpmvBatchRange(
-                    a.as<fmt::CsrMatrix>(), x, y, 0, a.rows());
-            else
-                kern::spmvBatchCsrRange(a.as<fmt::CsrMatrix>(), x, y,
-                                        0, a.rows(), e);
-            return;
-          case Format::kEll:
-            kern::spmvBatchEllRange(a.as<fmt::EllMatrix>(), x, y, 0,
-                                    a.rows(), e);
-            return;
-          case Format::kDia:
-            kern::spmvBatchDiaRange(a.as<fmt::DiaMatrix>(), x, y, 0,
-                                    a.rows(), e);
-            return;
-          case Format::kDense:
-            kern::spmvBatchDenseRange(a.as<fmt::DenseMatrix>(), x, y, 0,
-                                      a.rows(), e);
-            return;
-          case Format::kSmash:
-            if constexpr (!E::kSimulated) {
-                const auto& m = a.as<core::SmashMatrix>();
-                simd::kernels().smashSpmvBatchWords(
-                    m, x, y.data().data(), y.cols(), 0,
-                    m.hierarchy().level(0).numWords(), 0);
-            } else {
-                kern::spmvBatchSmash(a.as<core::SmashMatrix>(), x, y,
-                                     e);
-            }
-            return;
-          case Format::kCoo:
-          case Format::kCsc:
-          case Format::kBcsr:
-            // No single-traversal batch kernel (capability table
-            // batchSpmv = false): per-RHS fallback.
-            detail::spmvBatchPerRhs(a, x, y, e);
-            return;
-        }
-        SMASH_PANIC("unknown format tag");
+    const Index xlen = std::max(x.rows(), a.xLength());
+    exec::ScratchArena& arena = exec::ScratchArena::local();
+    std::vector<Value>& xr = arena.values(
+        exec::ScratchArena::kBatchXr, static_cast<std::size_t>(xlen));
+    std::vector<Value>& yr = arena.values(
+        exec::ScratchArena::kBatchYr,
+        static_cast<std::size_t>(y.rows()));
+    // The arena only grows: an earlier, taller call can leave stale
+    // values in the operand tail the format reads past x.rows().
+    std::fill(xr.begin() + static_cast<std::ptrdiff_t>(x.rows()),
+              xr.begin() + static_cast<std::ptrdiff_t>(xlen), Value(0));
+    for (Index r = 0; r < x.cols(); ++r) {
+        for (Index j = 0; j < x.rows(); ++j)
+            xr[static_cast<std::size_t>(j)] = x.at(j, r);
+        for (Index i = 0; i < y.rows(); ++i)
+            yr[static_cast<std::size_t>(i)] = y.at(i, r);
+        spmv(a, xr, yr, e);
+        for (Index i = 0; i < y.rows(); ++i)
+            y.at(i, r) = yr[static_cast<std::size_t>(i)];
     }
-}
-
-/**
- * Batched SpMM entry: C := C + A B for a *dense* multi-RHS operand
- * B (one logical SpMV per column — the serving layer's SpMM
- * request). Lowered onto the single-traversal batch kernels (and,
- * under ParallelExec, the row-range/word-range batch drivers);
- * because the per-column arithmetic is independent and ordered, the
- * result of each column is bit-identical whether B is computed
- * alone or concatenated into a wider block. B at logical height
- * (A.cols()) is padded to the format's operand length here.
- */
-template <typename E>
-void
-spmmBatch(const MatrixRef& a, const fmt::DenseMatrix& b,
-          fmt::DenseMatrix& c, E& e)
-{
-    if (b.rows() >= a.xLength()) {
-        spmvBatch(a, b, c, e);
-        return;
-    }
-    fmt::DenseMatrix padded(a.xLength(), b.cols());
-    for (Index j = 0; j < b.rows(); ++j)
-        for (Index r = 0; r < b.cols(); ++r)
-            padded.at(j, r) = b.at(j, r);
-    spmvBatch(a, padded, c, e);
 }
 
 /**

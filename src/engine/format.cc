@@ -11,15 +11,15 @@ namespace
 {
 
 constexpr std::array<FormatCaps, kNumFormats> kCapsTable = {{
-    // name     spmv   spmm   spadd  spgemm parallel scatterY batch
-    {"coo",     true,  false, false, false, true,    true,    false},
-    {"csr",     true,  true,  true,  true,  true,    false,   true},
-    {"csc",     true,  false, false, true,  true,    true,    false},
-    {"bcsr",    true,  true,  false, false, true,    false,   false},
-    {"ell",     true,  false, false, false, true,    false,   true},
-    {"dia",     true,  false, false, false, true,    false,   true},
-    {"dense",   true,  true,  true,  false, true,    false,   true},
-    {"smash",   true,  true,  true,  true,  true,    true,    true},
+    // name     spmv   spmm   spadd  spgemm parallel scatterY
+    {"coo",     true,  false, false, false, true,    true},
+    {"csr",     true,  true,  true,  true,  true,    false},
+    {"csc",     true,  false, false, true,  true,    true},
+    {"bcsr",    true,  true,  false, false, true,    false},
+    {"ell",     true,  false, false, false, true,    false},
+    {"dia",     true,  false, false, false, true,    false},
+    {"dense",   true,  true,  true,  false, true,    false},
+    {"smash",   true,  true,  true,  true,  true,    true},
 }};
 
 } // namespace

@@ -55,9 +55,6 @@ struct FormatCaps
     bool parallelSpmv = false; //!< multi-threaded SpMV driver
     bool scatterY = false;   //!< SpMV scatters into y (needs
                              //!< per-thread accumulators in parallel)
-    bool batchSpmv = false;  //!< single-traversal multi-RHS kernel
-                             //!< (others fall back to one
-                             //!< traversal per RHS)
 };
 
 /** Capability row for @p f (static storage, never fails). */

@@ -211,84 +211,6 @@ ellSpmvRangeAvx2(const fmt::EllMatrix& a, const std::vector<Value>& x,
     }
 }
 
-SMASH_TARGET_AVX2 void
-csrSpmvBatchRangeAvx2(const fmt::CsrMatrix& a,
-                      const fmt::DenseMatrix& x, fmt::DenseMatrix& y,
-                      Index row_begin, Index row_end)
-{
-    const Index nrhs = kern::detail::batchWidth(a.rows(), a.cols(), x, y);
-    const fmt::CsrIndex* row_ptr = a.rowPtr().data();
-    const fmt::CsrIndex* cols = a.colInd().data();
-    const Value* vals = a.values().data();
-    // Raw row-major walks: X and Y both carry nrhs columns
-    // (batchWidth checked), so row r starts at r * nrhs.
-    const Value* xp = x.data().data();
-    Value* yp = y.data().data();
-    const auto ld = static_cast<std::size_t>(nrhs);
-    const std::size_t prefetch_below =
-        detail::wantXPrefetch(
-            static_cast<std::size_t>(a.cols() * nrhs) * sizeof(Value))
-            ? a.colInd().size()
-            : 0;
-    if (nrhs <= detail::kBatchAccumWidth) {
-        alignas(32) Value acc[detail::kBatchAccumWidth];
-        for (Index i = row_begin; i < row_end; ++i) {
-            auto si = static_cast<std::size_t>(i);
-            Value* yr = yp + si * ld;
-            for (Index r = 0; r < nrhs; ++r)
-                acc[r] = yr[r];
-            for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1];
-                 ++j) {
-                auto sj = static_cast<std::size_t>(j);
-                const std::size_t ahead = sj + detail::kXPrefetchDistance;
-                if (ahead < prefetch_below)
-                    detail::prefetchRead(
-                        xp + static_cast<std::size_t>(cols[ahead]) * ld);
-                const __m256d v = _mm256_set1_pd(vals[sj]);
-                const Value* xr = xp + static_cast<std::size_t>(cols[sj]) * ld;
-                // RHS lanes are independent accumulation chains:
-                // any vector grouping over r is bit-identical.
-                Index r = 0;
-                for (; r + 4 <= nrhs; r += 4)
-                    _mm256_store_pd(
-                        acc + r,
-                        _mm256_add_pd(
-                            _mm256_load_pd(acc + r),
-                            _mm256_mul_pd(v,
-                                          _mm256_loadu_pd(xr + r))));
-                for (; r < nrhs; ++r)
-                    acc[r] += vals[sj] * xr[r];
-            }
-            for (Index r = 0; r < nrhs; ++r)
-                yr[r] = acc[r];
-        }
-        return;
-    }
-    for (Index i = row_begin; i < row_end; ++i) {
-        auto si = static_cast<std::size_t>(i);
-        Value* yr = yp + si * ld;
-        for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1]; ++j) {
-            auto sj = static_cast<std::size_t>(j);
-            const std::size_t ahead = sj + detail::kXPrefetchDistance;
-            if (ahead < prefetch_below)
-                detail::prefetchRead(
-                    xp + static_cast<std::size_t>(cols[ahead]) * ld);
-            const Value vs = vals[sj];
-            const __m256d v = _mm256_set1_pd(vs);
-            const Value* xr = xp + static_cast<std::size_t>(cols[sj]) * ld;
-            Index r = 0;
-            for (; r + 4 <= nrhs; r += 4)
-                _mm256_storeu_pd(
-                    yr + r,
-                    _mm256_add_pd(_mm256_loadu_pd(yr + r),
-                                  _mm256_mul_pd(
-                                      v, _mm256_loadu_pd(xr + r))));
-            for (; r < nrhs; ++r)
-                yr[r] += vs * xr[r];
-        }
-    }
-}
-
 /**
  * Canonical blockSize==2 word sum, AVX2: decode set bits two at a
  * time with tzcnt/blsr, multiply two blocks (four products) per
@@ -385,56 +307,6 @@ smashSpmvWordsAvx2(const core::SmashMatrix& a,
     }
 }
 
-SMASH_TARGET_AVX2 void
-smashSpmvBatchWordsAvx2(const core::SmashMatrix& a,
-                        const fmt::DenseMatrix& x, Value* y, Index nrhs,
-                        Index word_begin, Index word_end,
-                        Index nza_block)
-{
-    const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
-    const Value* nza = a.nza().data();
-    const Value* xp = x.data().data();
-    const auto ldx = static_cast<std::size_t>(x.cols());
-    Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
-        while (word != 0) {
-            const Index bit =
-                w * kBitsPerWord + static_cast<Index>(_tzcnt_u64(word));
-            word = _blsr_u64(word);
-            const Index linear = bit * bs;
-            const Index row = linear / padded_cols;
-            const Index col0 = linear % padded_cols;
-            const Value* blk =
-                nza + static_cast<std::size_t>(block * bs);
-            Value* yr = y + static_cast<std::size_t>(row * nrhs);
-            const Value* xb = xp + static_cast<std::size_t>(col0) * ldx;
-            for (Index k = 0; k < bs; ++k) {
-                const Value vs = blk[k];
-                // Keep the explicit-zero skip: same geometric test
-                // in every variant.
-                if (vs == Value(0))
-                    continue;
-                const Value* xr = xb + static_cast<std::size_t>(k) * ldx;
-                const __m256d v = _mm256_set1_pd(vs);
-                Index r = 0;
-                for (; r + 4 <= nrhs; r += 4)
-                    _mm256_storeu_pd(
-                        yr + r,
-                        _mm256_add_pd(
-                            _mm256_loadu_pd(yr + r),
-                            _mm256_mul_pd(
-                                v, _mm256_loadu_pd(xr + r))));
-                for (; r < nrhs; ++r)
-                    yr[r] += vs * xr[r];
-            }
-            ++block;
-        }
-    }
-}
-
 SMASH_TARGET_AVX2 Index
 popcountWordsAvx2(const BitWord* words, Index n)
 {
@@ -457,10 +329,8 @@ const KernelTable&
 avx2KernelTable()
 {
     static const KernelTable table = {
-        &csrSpmvRangeAvx2,     &csrSpmvBatchRangeAvx2,
-        &ellSpmvRangeAvx2,
-        &smashSpmvWordsAvx2,   &smashSpmvBatchWordsAvx2,
-        &popcountWordsAvx2,
+        &csrSpmvRangeAvx2,   &ellSpmvRangeAvx2,
+        &smashSpmvWordsAvx2, &popcountWordsAvx2,
         IsaLevel::kAvx2,
     };
     return table;

@@ -10,10 +10,10 @@
  * ELL row's tail is one masked gather (ellRowAvx512). No AVX-512VL
  * needed, no out-of-bounds index loads.
  *
- * The SMASH walk, batch kernels and popcount reuse the AVX2
- * entries: the blockSize==2 walk is pinned to the 4-lane canonical
- * (an 8-lane grouping would change the addition tree and break
- * bit-identity), and the others are bound by memory, not lanes.
+ * The SMASH walk and popcount reuse the AVX2 entries: the
+ * blockSize==2 walk is pinned to the 4-lane canonical (an 8-lane
+ * grouping would change the addition tree and break bit-identity),
+ * and popcount is bound by memory, not lanes.
  */
 
 #include "kernels/simd/simd_internal.hh"
@@ -169,10 +169,8 @@ avx512KernelTable()
 {
     const KernelTable& avx2 = avx2KernelTable();
     static const KernelTable table = {
-        &csrSpmvRangeAvx512,   avx2.csrSpmvBatchRange,
-        &ellSpmvRangeAvx512,
-        avx2.smashSpmvWords,   avx2.smashSpmvBatchWords,
-        avx2.popcountWords,
+        &csrSpmvRangeAvx512, &ellSpmvRangeAvx512,
+        avx2.smashSpmvWords, avx2.popcountWords,
         IsaLevel::kAvx512,
     };
     return table;

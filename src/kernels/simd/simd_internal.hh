@@ -27,9 +27,6 @@
  *    scalar path below (identical code in every variant); the
  *    fast/slow choice is purely geometric, so every variant makes
  *    the same choice per word.
- *  - Batched kernels accumulate each RHS lane independently in
- *    non-zero order; any vector width over the RHS dimension is
- *    bit-identical by construction.
  *
  * Every TU including this header is compiled with -ffp-contract=off
  * (see CMakeLists.txt) so a*b+c never contracts into FMA behind the
@@ -42,7 +39,6 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "kernels/simd/simd_kernels.hh"
-#include "kernels/spmv_batch.hh"
 
 namespace smash::simd
 {
@@ -87,9 +83,6 @@ wantXPrefetch(std::size_t operand_bytes)
 {
     return operand_bytes > 256 * 1024;
 }
-
-/** Widest batch the CSR batch variants accumulate on the stack. */
-inline constexpr Index kBatchAccumWidth = 64;
 
 /** The canonical 8-lane reduction tree (see file comment). */
 inline Value

@@ -1,10 +1,10 @@
 /**
  * @file
  * SIMD kernel layer: runtime-dispatched variants of the engine's
- * hot native loops — the CSR gather SpMV/SpMM-batch row loops, the
- * ELL row-slab SpMV, the SMASH Bitmap-0 word walk (the software
- * analogue of the paper's BMU), and the word-rank popcount used by
- * the SMASH partition pre-scan.
+ * hot native loops — the CSR gather SpMV row loop, the ELL row-slab
+ * SpMV, the SMASH Bitmap-0 word walk (the software analogue of the
+ * paper's BMU), and the word-rank popcount used by the SMASH
+ * partition pre-scan.
  *
  * One binary carries scalar, AVX2+BMI2, and (guarded) AVX-512F
  * implementations of every entry; kernels() returns the table for
@@ -39,7 +39,6 @@
 #include "common/types.hh"
 #include "core/smash_matrix.hh"
 #include "formats/csr_matrix.hh"
-#include "formats/dense_matrix.hh"
 #include "formats/ell_matrix.hh"
 
 namespace smash::simd
@@ -58,14 +57,6 @@ struct KernelTable
                          std::vector<Value>& y, Index row_begin,
                          Index row_end);
 
-    /** Y := Y + A X (batched SpMV) over CSR rows
-     *  [row_begin, row_end); lanes vectorize across the RHS block,
-     *  so results are bit-identical to the per-RHS scalar loop. */
-    void (*csrSpmvBatchRange)(const fmt::CsrMatrix& a,
-                              const fmt::DenseMatrix& x,
-                              fmt::DenseMatrix& y, Index row_begin,
-                              Index row_end);
-
     /** y := y + A x over ELL rows [row_begin, row_end). Each row
      *  sums its real entries (those before its first kEllPad slot)
      *  with the canonical tree csrSpmvRange uses, so the answer
@@ -83,12 +74,6 @@ struct KernelTable
                            const std::vector<Value>& x,
                            std::vector<Value>& y, Index word_begin,
                            Index word_end, Index nza_block);
-
-    /** Batched SMASH word walk; y is the flat rows x nrhs block. */
-    void (*smashSpmvBatchWords)(const core::SmashMatrix& a,
-                                const fmt::DenseMatrix& x, Value* y,
-                                Index nrhs, Index word_begin,
-                                Index word_end, Index nza_block);
 
     /** Total set bits in words[0, n) — the SMASH partition rank
      *  pre-scan. */

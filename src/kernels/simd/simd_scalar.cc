@@ -62,68 +62,6 @@ ellSpmvRangeScalar(const fmt::EllMatrix& a, const std::vector<Value>& x,
 }
 
 void
-csrSpmvBatchRangeScalar(const fmt::CsrMatrix& a,
-                        const fmt::DenseMatrix& x, fmt::DenseMatrix& y,
-                        Index row_begin, Index row_end)
-{
-    const Index nrhs = kern::detail::batchWidth(a.rows(), a.cols(), x, y);
-    const fmt::CsrIndex* row_ptr = a.rowPtr().data();
-    const fmt::CsrIndex* cols = a.colInd().data();
-    const Value* vals = a.values().data();
-    // Raw row-major walks: X and Y both carry nrhs columns
-    // (batchWidth checked), so row r starts at r * nrhs.
-    const Value* xp = x.data().data();
-    Value* yp = y.data().data();
-    const auto ld = static_cast<std::size_t>(nrhs);
-    const std::size_t prefetch_below =
-        detail::wantXPrefetch(
-            static_cast<std::size_t>(a.cols() * nrhs) * sizeof(Value))
-            ? a.colInd().size()
-            : 0;
-    if (nrhs <= detail::kBatchAccumWidth) {
-        // Stack accumulators keep the row's partial sums in
-        // registers (X/Y may alias as far as the compiler knows).
-        Value acc[detail::kBatchAccumWidth];
-        for (Index i = row_begin; i < row_end; ++i) {
-            auto si = static_cast<std::size_t>(i);
-            Value* yr = yp + si * ld;
-            for (Index r = 0; r < nrhs; ++r)
-                acc[r] = yr[r];
-            for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1];
-                 ++j) {
-                auto sj = static_cast<std::size_t>(j);
-                const std::size_t ahead = sj + detail::kXPrefetchDistance;
-                if (ahead < prefetch_below)
-                    detail::prefetchRead(
-                        xp + static_cast<std::size_t>(cols[ahead]) * ld);
-                const Value v = vals[sj];
-                const Value* xr = xp + static_cast<std::size_t>(cols[sj]) * ld;
-                for (Index r = 0; r < nrhs; ++r)
-                    acc[r] += v * xr[r];
-            }
-            for (Index r = 0; r < nrhs; ++r)
-                yr[r] = acc[r];
-        }
-        return;
-    }
-    for (Index i = row_begin; i < row_end; ++i) {
-        auto si = static_cast<std::size_t>(i);
-        Value* yr = yp + si * ld;
-        for (fmt::CsrIndex j = row_ptr[si]; j < row_ptr[si + 1]; ++j) {
-            auto sj = static_cast<std::size_t>(j);
-            const std::size_t ahead = sj + detail::kXPrefetchDistance;
-            if (ahead < prefetch_below)
-                detail::prefetchRead(
-                    xp + static_cast<std::size_t>(cols[ahead]) * ld);
-            const Value v = vals[sj];
-            const Value* xr = xp + static_cast<std::size_t>(cols[sj]) * ld;
-            for (Index r = 0; r < nrhs; ++r)
-                yr[r] += v * xr[r];
-        }
-    }
-}
-
-void
 smashSpmvWordsScalar(const core::SmashMatrix& a,
                      const std::vector<Value>& x, std::vector<Value>& y,
                      Index word_begin, Index word_end, Index nza_block)
@@ -164,44 +102,6 @@ smashSpmvWordsScalar(const core::SmashMatrix& a,
     }
 }
 
-void
-smashSpmvBatchWordsScalar(const core::SmashMatrix& a,
-                          const fmt::DenseMatrix& x, Value* y,
-                          Index nrhs, Index word_begin, Index word_end,
-                          Index nza_block)
-{
-    const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
-    const Value* nza = a.nza().data();
-    const Value* xp = x.data().data();
-    const auto ldx = static_cast<std::size_t>(x.cols());
-    Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
-        while (word != 0) {
-            const Index bit = w * kBitsPerWord + findFirstSet(word);
-            word = clearLowestSet(word);
-            const Index linear = bit * bs;
-            const Index row = linear / padded_cols;
-            const Index col0 = linear % padded_cols;
-            const Value* blk =
-                nza + static_cast<std::size_t>(block * bs);
-            Value* yr = y + static_cast<std::size_t>(row * nrhs);
-            const Value* xb = xp + static_cast<std::size_t>(col0) * ldx;
-            for (Index k = 0; k < bs; ++k) {
-                const Value v = blk[k];
-                if (v == Value(0))
-                    continue;
-                const Value* xr = xb + static_cast<std::size_t>(k) * ldx;
-                for (Index r = 0; r < nrhs; ++r)
-                    yr[r] += v * xr[r];
-            }
-            ++block;
-        }
-    }
-}
-
 Index
 popcountWordsScalar(const BitWord* words, Index n)
 {
@@ -224,10 +124,8 @@ const KernelTable&
 scalarKernelTable()
 {
     static const KernelTable table = {
-        &csrSpmvRangeScalar,     &csrSpmvBatchRangeScalar,
-        &ellSpmvRangeScalar,
-        &smashSpmvWordsScalar,   &smashSpmvBatchWordsScalar,
-        &popcountWordsScalar,
+        &csrSpmvRangeScalar,   &ellSpmvRangeScalar,
+        &smashSpmvWordsScalar, &popcountWordsScalar,
         IsaLevel::kScalar,
     };
     return table;

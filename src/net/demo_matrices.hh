@@ -7,10 +7,9 @@
  * the server's answer bit for bit.
  *
  * Every value is dyadic (a multiple of 2^-4), so sums are exact in
- * IEEE-754 doubles in ANY summation order — the server batching
- * several requests into one traversal, or SIMD-reducing in a
- * different association, still produces the bit pattern a local
- * eng::spmv does. That turns "remote == local" from a tolerance
+ * IEEE-754 doubles in ANY summation order — a server running another
+ * format, or SIMD-reducing in a different association, still
+ * produces the bit pattern a local eng::spmv does. That turns "remote == local" from a tolerance
  * check into an equality check.
  *
  * Registry contents:

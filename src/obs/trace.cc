@@ -236,7 +236,6 @@ dispatchPathName(std::uint32_t path)
       case DispatchPath::kRows: return "rows";
       case DispatchPath::kWordWalk: return "word_walk";
       case DispatchPath::kScatter: return "scatter";
-      case DispatchPath::kBatchRows: return "batch_rows";
       case DispatchPath::kRowColTiles: return "row_col_tiles";
     }
     return "unknown";

@@ -94,15 +94,15 @@ static_assert(static_cast<std::size_t>(FlushReason::kIdle) + 1 ==
  *  out of range) — the trace args and the metrics reason label. */
 const char* flushReasonName(std::uint32_t reason);
 
-/** Dispatch path shapes (kDispatch a2). Value 2 is retired; the
- *  others keep their numbers so older trace dumps still decode. */
+/** Dispatch path shapes (kDispatch a2). Values 2 and 5 are
+ *  retired; the others keep their numbers so older trace dumps
+ *  still decode. */
 enum class DispatchPath : std::uint32_t
 {
     kSerial = 0,
     kRows = 1,
     kWordWalk = 3,
     kScatter = 4,
-    kBatchRows = 5,
     kRowColTiles = 6,
 };
 

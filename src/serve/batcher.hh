@@ -3,17 +3,18 @@
  * Request batching for the serving layer.
  *
  * A Batcher coalesces concurrent requests into per-(matrix, op
- * class) queues (QueueKey): SpMV requests against one matrix merge
- * into one batched multi-RHS call, SpMM blocks concatenate into one
- * wide traversal, SpAdd merges share a queue for ordering. A queue
- * flushes when it reaches the maximum batch size (inline, on the
- * enqueuing thread — zero added latency at full load), when a
- * kNormal request finds a compute slot free (inline — no wait at
- * low load), when a compute slot frees while kNormal work is held
- * (on the thread that ended the compute), when its deadline passes
- * (from the timer thread — the cap while every slot is busy), or
- * immediately when a kHigh-priority request arrives (inline; the
- * high request drags any already-queued work along with it).
+ * class) queues (QueueKey); a flushed queue becomes one compute
+ * task, which runs its requests one after another (the pipeline
+ * computes each alone, so batching buys scheduling, not a shared
+ * traversal). A queue flushes when it reaches the maximum batch
+ * size (inline, on the enqueuing thread — zero added latency at
+ * full load), when a kNormal request finds a compute slot free
+ * (inline — no wait at low load), when a compute slot frees while
+ * kNormal work is held (on the thread that ended the compute), when
+ * its deadline passes (from the timer thread — the cap while every
+ * slot is busy), or immediately when a kHigh-priority request
+ * arrives (inline; the high request drags any already-queued work
+ * along with it).
  *
  * Work conservation (Nagle's rule, Clipper's adaptive batching):
  * the batcher counts the batches it handed to compute whose

@@ -1,13 +1,11 @@
 #include "serve/pipeline.hh"
 
-#include <algorithm>
 #include <exception>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
 #include "engine/dispatch.hh"
-#include "kernels/util.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/shed.hh"
@@ -59,17 +57,6 @@ stageUs(Request::Clock::time_point from, Request::Clock::time_point to)
         std::chrono::duration_cast<std::chrono::microseconds>(to -
                                                               from)
             .count());
-}
-
-/** Copy @p n values of one row; an SpMV column (n == 1) skips the
- *  library call a general copy compiles to. */
-void
-copyRow(const Value* src, Index n, Value* dst)
-{
-    if (n == 1)
-        *dst = *src;
-    else
-        std::copy_n(src, n, dst);
 }
 
 } // namespace
@@ -393,54 +380,21 @@ Pipeline::computeBlock(const std::string& matrix,
     const std::shared_ptr<shard::ShardedMatrix> stack =
         registry_.sharded(matrix);
     const Index rows = stack->rows();
-    auto y = std::make_shared<fmt::DenseMatrix>();
-    const auto* lone = batch.size() == 1
-        ? std::get_if<SpmvWork>(&batch[0].work)
-        : nullptr;
-    if (lone != nullptr) {
-        // Unbatched: a literal single-RHS dispatch into Y's storage.
-        *y = fmt::DenseMatrix(rows, 1);
-        stack->spmv(lone->x, y->data(), nullptr);
-    } else {
-        // Concatenate every request's columns (one per SpMV, b.cols()
-        // per SpMM block) into one X block, zero-padded to the
-        // operand length the stack takes without a copy. The
-        // per-column arithmetic of the batched kernels is
-        // independent, so each request's Y columns are bit-identical
-        // to computing it alone — one traversal serves the batch.
-        struct Columns
-        {
-            const Value* data; //!< row j starts at data + j * cols
-            Index rows;
-            Index cols;
-        };
-        std::vector<Columns> parts;
-        parts.reserve(batch.size());
-        Index total = 0;
-        for (const Request& r : batch) {
-            if (const auto* w = std::get_if<SpmvWork>(&r.work))
-                parts.push_back(
-                    {w->x.data(), static_cast<Index>(w->x.size()), 1});
-            else {
-                const fmt::DenseMatrix& b = std::get<SpmmWork>(r.work).b;
-                parts.push_back({b.data().data(), b.rows(), b.cols()});
-            }
-            total += parts.back().cols;
+    // Every request computes alone into its own result — spmv for
+    // an SpMV, one spmv per column of B for an SpMM — so an answer
+    // is bit-identical whatever company its request kept in the
+    // batch.
+    auto outs = std::make_shared<std::vector<fmt::DenseMatrix>>();
+    outs->reserve(batch.size());
+    for (const Request& r : batch) {
+        if (const auto* w = std::get_if<SpmvWork>(&r.work)) {
+            outs->emplace_back(rows, 1);
+            stack->spmv(w->x, outs->back().data(), nullptr);
+        } else {
+            const fmt::DenseMatrix& b = std::get<SpmmWork>(r.work).b;
+            outs->emplace_back(rows, b.cols());
+            stack->spmvBatch(b, outs->back(), nullptr);
         }
-        // Row-outer: X is row-major, so the writes stream through
-        // each wide row instead of striding one line per element.
-        const Index xlen = stack->xLength();
-        fmt::DenseMatrix x(xlen, total);
-        for (Index j = 0; j < xlen; ++j) {
-            Value* dst = x.rowData(j);
-            for (const Columns& p : parts) {
-                if (j < p.rows)
-                    copyRow(p.data + j * p.cols, p.cols, dst);
-                dst += p.cols;
-            }
-        }
-        *y = fmt::DenseMatrix(rows, total);
-        stack->spmvBatch(x, *y, nullptr);
     }
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch,
@@ -449,42 +403,19 @@ Pipeline::computeBlock(const std::string& matrix,
     for (Request& r : batch)
         r.computed = done;
 
-    // Reduce/deliver stage: its own task, so this worker can pick
-    // up the next batch while another thread scatters results out.
+    // Deliver stage: its own task, so this worker can pick up the
+    // next batch while another thread fulfils the promises.
     auto shared =
         std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_.post([this, shared, y, rows] {
-        std::vector<fmt::DenseMatrix> outs;
-        outs.reserve(shared->size());
-        if (shared->size() == 1) {
-            outs.push_back(std::move(*y)); // a lone request owns Y
-        } else {
-            std::vector<Value*> dst;
-            dst.reserve(shared->size());
-            for (const Request& r : *shared) {
-                const auto* w = std::get_if<SpmmWork>(&r.work);
-                outs.emplace_back(rows, w != nullptr ? w->b.cols() : 1);
-                dst.push_back(outs.back().data().data());
-            }
-            // One streaming pass over the row-major Y block: each row
-            // scatters to every request's result, instead of one
-            // strided (line-per-element) pass per request.
-            const Value* src = y->data().data();
-            for (Index i = 0; i < rows; ++i)
-                for (std::size_t r = 0; r < outs.size(); ++r) {
-                    const Index nc = outs[r].cols();
-                    copyRow(src, nc, dst[r]);
-                    src += nc;
-                    dst[r] += nc;
-                }
-        }
-        for (std::size_t r = 0; r < outs.size(); ++r) {
+    pool_.post([this, shared, outs] {
+        for (std::size_t r = 0; r < outs->size(); ++r) {
             Request& req = (*shared)[r];
+            fmt::DenseMatrix& out = (*outs)[r];
             if (auto* w = std::get_if<SpmvWork>(&req.work))
-                deliver(req, *w, std::move(outs[r].data()));
+                deliver(req, *w, std::move(out.data()));
             else
                 deliver(req, std::get<SpmmWork>(req.work),
-                        std::move(outs[r]));
+                        std::move(out));
         }
     });
 }

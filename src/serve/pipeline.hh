@@ -6,13 +6,13 @@
  *   encode/convert — resolve the encodings the request's op class
  *       needs through the registry (first touch converts, later
  *       touches hit the cache) and hand the request to the batcher;
- *   compute        — lower a flushed (matrix, op) batch onto one
- *       serial call on the matrix stack: the batch's SpMV operands
- *       or SpMM blocks concatenate into one X block for spmvBatch
- *       (a lone SpMV takes spmv), SpAdd merges run per request
- *       through eng::spadd;
- *   reduce/deliver — scatter results back per request and fulfil
- *       the promises with serve::Result values.
+ *   compute        — run a flushed (matrix, op) batch serially on
+ *       the matrix stack, one request at a time: an SpMV takes
+ *       spmv into its own result, an SpMM takes spmvBatch on its
+ *       own B (one canonical SpMV per column), and SpAdd merges run
+ *       through eng::spadd. A request's answer is therefore the
+ *       same bits whether or not it shared a batch;
+ *   deliver        — fulfil the promises with serve::Result values.
  *
  * Every compute runs on one worker, so batches overlap across the
  * pool (throughput mode); the batcher counts one compute slot per
@@ -210,8 +210,8 @@ class Pipeline
   private:
     void computeBatch(const QueueKey& key,
                       std::vector<Request>& batch);
-    /** SpMV and SpMM: one X block of every request's columns, one
-     *  stack call, one row-major pass over Y to deliver. */
+    /** SpMV and SpMM: one stack call per request into its own
+     *  result, then one deliver task for the batch. */
     void computeBlock(const std::string& matrix,
                       std::vector<Request>& batch);
     void computeSpadd(const std::string& matrix,

@@ -92,9 +92,7 @@ struct SpmvRequest
 
 /**
  * C = A B for a dense multi-RHS block @p b (one column per RHS,
- * b.rows() == A.cols()); lowered onto the batched SpMM driver, with
- * concurrent blocks against the same matrix concatenated into one
- * traversal.
+ * b.rows() == A.cols()), computed as one canonical SpMV per column.
  */
 struct SpmmRequest
 {

@@ -7,7 +7,9 @@
  * SpMM, or SpAdd — request.hh) and returns a future<Result<T>>;
  * admitted requests flow through the async pipeline: conversion
  * (cached in the registry), batching (coalesced per (matrix, op)
- * with concurrent requests), one batched compute, and delivery.
+ * with concurrent requests), one compute task per batch — each
+ * request computed alone, so its answer does not depend on its
+ * batch — and delivery.
  * No exception crosses the API boundary — validation failures come
  * back as ready Results (kNotFound / kInvalidOperand), admission
  * failures as kOverloaded / kDeadlineExceeded / kShuttingDown, and
@@ -123,8 +125,8 @@ class Session
 
     /**
      * Submit C = A B for a dense multi-RHS block (b.rows() must be
-     * A's column count; at least one column). Concurrent blocks
-     * against the same matrix concatenate into one traversal.
+     * A's column count; at least one column), computed as one SpMV
+     * per column of B.
      */
     std::future<Result<fmt::DenseMatrix>> submit(SpmmRequest req);
 

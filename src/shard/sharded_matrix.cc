@@ -364,12 +364,6 @@ ShardedMatrix::allEncoded() const
     return true;
 }
 
-Index
-ShardedMatrix::xLength() const
-{
-    return shardCount() == 1 ? shardEncoding(0)->xLength() : cols_;
-}
-
 template <typename F>
 void
 ShardedMatrix::forEachShard(exec::ThreadPool* pool,
@@ -439,13 +433,10 @@ ShardedMatrix::spmvBatch(const fmt::DenseMatrix& x,
     SMASH_CHECK(x.cols() == y.cols(), "X/Y width mismatch");
     if (x.cols() == 0)
         return;
-    // spmmBatch pads X to the format's operand length only when the
-    // block falls short of it (per-shard formats diverge, so the
-    // needed length differs per shard).
     if (shardCount() == 1) {
         const EncodingPtr enc = shardEncoding(0);
         withExec(pool,
-                 [&](auto& e) { eng::spmmBatch(enc->ref(), x, y, e); });
+                 [&](auto& e) { eng::spmvBatch(enc->ref(), x, y, e); });
         return;
     }
     const std::uint64_t t0 =
@@ -457,7 +448,7 @@ ShardedMatrix::spmvBatch(const fmt::DenseMatrix& x,
         const Index n = sh.rowEnd - sh.rowBegin;
         fmt::DenseMatrix local(n, nrhs);
         sim::NativeExec ne;
-        eng::spmmBatch(enc->ref(), x, local, ne);
+        eng::spmvBatch(enc->ref(), x, local, ne);
         for (Index r = 0; r < n; ++r)
             for (Index c = 0; c < nrhs; ++c)
                 y.at(sh.rowBegin + r, c) += local.at(r, c);

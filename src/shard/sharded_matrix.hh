@@ -43,10 +43,12 @@
  * (first-touched) on a thread pinned to that subset. On a 1-node
  * host the subsets degrade to a round-robin split of the flat CPU
  * list and placement is a no-op by construction. Compute-time
- * locality is approximate: the scatter runs one pool chunk per
- * shard, and the pool's sticky chunk claiming + node-major worker
- * pinning keep shard k on the same worker (hence node) across
- * requests.
+ * locality holds only where a pool is passed (the benches and
+ * tests): the scatter then runs one pool chunk per shard, and the
+ * pool's sticky chunk claiming + node-major worker pinning keep
+ * shard k on the same worker (hence node) across requests. The
+ * serving pipeline passes no pool, so a served K>1 request runs its
+ * shards serially on the compute worker that took it.
  *
  * Threading: all entry points are thread-safe. Each shard has its
  * own mutex guarding its master/churn/encoding; compute paths
@@ -183,10 +185,6 @@ class ShardedMatrix
                               std::optional<eng::Format> format = {},
                               bool cachedOnly = false) const;
 
-    /** Operand height that spmvBatch() takes without a pad copy:
-     *  the encoding's xLength() for K=1, cols() otherwise. */
-    Index xLength() const;
-
     /**
      * y += A x. K=1 runs the engine straight into @p y; K>1
      * scatter–gathers: each shard computes its row band into a
@@ -202,10 +200,11 @@ class ShardedMatrix
               exec::ThreadPool* pool) const;
 
     /**
-     * Y += A X for a block of right-hand sides (one per column).
-     * @p x needs only the logical height cols(); a shorter block
-     * than the format's xLength() is padded (a copy). Serves both
-     * the batched-SpMV and the dense-operand SpMM request paths.
+     * Y += A X for a block of right-hand sides (one per column),
+     * @p x at the logical height cols(). Each column runs the same
+     * per-shard engine SpMV as spmv(), so column c of @p y is
+     * spmv() of column c of @p x bit for bit. Serves the SpMM
+     * request path.
      */
     void spmvBatch(const fmt::DenseMatrix& x, fmt::DenseMatrix& y,
                    exec::ThreadPool* pool) const;

@@ -16,7 +16,6 @@
 #include "kernels/spadd.hh"
 #include "kernels/spmm.hh"
 #include "kernels/spmv.hh"
-#include "kernels/spmv_batch.hh"
 #include "sim/exec_model.hh"
 #include "workloads/matrix_gen.hh"
 
@@ -162,22 +161,6 @@ TEST(ExecConsistency, NativeAndSimulatedResultsMatch)
     kern::spmvSmashSw(sm, xp, y_native, ne);
     kern::spmvSmashSw(sm, xp, y_sim, se);
     EXPECT_EQ(y_native, y_sim);
-
-    // Batched kernels on both sides of a 64-wide batch.
-    for (Index nrhs : {Index(3), Index(65)}) {
-        fmt::DenseMatrix xb(sm.paddedCols(), nrhs);
-        xb.data() = randomVector(sm.paddedCols() * nrhs,
-                                 7 + static_cast<std::uint64_t>(nrhs));
-        fmt::DenseMatrix yb_native(128, nrhs), yb_sim(128, nrhs);
-        kern::spmvBatchCsrRange(csr, xb, yb_native, 0, 128, ne);
-        kern::spmvBatchCsrRange(csr, xb, yb_sim, 0, 128, se);
-        EXPECT_EQ(yb_native.data(), yb_sim.data()) << "CSR, nrhs "
-                                                   << nrhs;
-        kern::spmvBatchSmash(sm, xb, yb_native, ne);
-        kern::spmvBatchSmash(sm, xb, yb_sim, se);
-        EXPECT_EQ(yb_native.data(), yb_sim.data()) << "SMASH, nrhs "
-                                                   << nrhs;
-    }
 }
 
 /** Simulation is deterministic: identical runs, identical cycles. */

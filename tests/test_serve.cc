@@ -1,15 +1,15 @@
 /**
  * @file
  * Tests for the serving subsystem and the engine growth beneath it:
- * batched SpMV against per-request dispatch (within 1e-12), the
- * batched SpMM dispatch entry point, the parallel SpMM/SpAdd
- * drivers, thread-pool shutdown semantics, the matrix registry's
- * conversion caching — and the typed serve::Result surface: status
- * codes instead of exceptions, per-(matrix, op) batching with
- * priority-aware flush ordering and work-conserving (idle) flushes
- * into free compute slots, admission control (kOverloaded
- * fail-fast, kBlock eventual completion), deadlines, and the
- * per-priority latency accounting.
+ * batched SpMV against per-request dispatch (bit for bit, in the
+ * engine and through a session, on every served format), the
+ * parallel SpMM/SpAdd drivers, thread-pool shutdown semantics, the
+ * matrix registry's conversion caching — and the typed
+ * serve::Result surface: status codes instead of exceptions,
+ * per-(matrix, op) batching with priority-aware flush ordering and
+ * work-conserving (idle) flushes into free compute slots, admission
+ * control (kOverloaded fail-fast, kBlock eventual completion),
+ * deadlines, and the per-priority latency accounting.
  *
  * Thread counts: SMASH_SERVE_THREADS pins one count (the ctest
  * variants run 1, 2, and 8); unset, every count is covered.
@@ -17,17 +17,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel_exec.hh"
+#include "common/rng.hh"
 #include "engine/dispatch.hh"
 #include "formats/convert.hh"
 #include "kernels/reference.hh"
@@ -102,6 +106,14 @@ operandBlock(Index padded_rows, Index logical_rows, Index nrhs)
     return x;
 }
 
+/** True when @p a and @p b hold the same values bit for bit. */
+bool
+sameBits(const std::vector<Value>& a, const std::vector<Value>& b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(Value)) == 0;
+}
+
 /** Per-column reference: N independent single-RHS dispatches. */
 template <typename E>
 fmt::DenseMatrix
@@ -133,10 +145,37 @@ TEST(SpmvBatch, MatchesIndividualSpmvAcrossFormats)
         eng::spmvBatch(m.ref(), x, y, e);
         const fmt::DenseMatrix ref =
             perRhsReference(m.ref(), coo.cols(), nrhs, e);
-        for (Index i = 0; i < coo.rows(); ++i)
-            for (Index r = 0; r < nrhs; ++r)
-                EXPECT_NEAR(y.at(i, r), ref.at(i, r), 1e-12)
-                    << eng::toString(f) << " row " << i << " rhs " << r;
+        EXPECT_TRUE(sameBits(y.data(), ref.data())) << eng::toString(f);
+    }
+}
+
+TEST(SpmvBatch, StagedColumnZeroesThePadTail)
+{
+    // The batch operand is staged in a grow-only arena buffer. A
+    // tall all-NaN batch first leaves NaN far past the pad tail of
+    // the matrices below; BCSR and SMASH multiply the stored zeros
+    // of their pad columns, so a stale NaN there would poison every
+    // row the last block column touches.
+    sim::NativeExec e;
+    {
+        const fmt::CsrMatrix tall =
+            fmt::CsrMatrix::fromCoo(wl::genUniform(8, 1000, 400, 5));
+        fmt::DenseMatrix x(1000, 2);
+        for (Value& v : x.data())
+            v = std::numeric_limits<Value>::quiet_NaN();
+        fmt::DenseMatrix y(8, 2);
+        eng::spmvBatch(tall, x, y, e);
+    }
+    const fmt::CooMatrix coo = wl::genClustered(50, 61, 600, 4, 29);
+    for (eng::Format f : {eng::Format::kBcsr, eng::Format::kSmash}) {
+        const eng::SparseMatrixAny m =
+            eng::SparseMatrixAny::fromCoo(coo, f);
+        ASSERT_GT(m.xLength(), m.cols()) << eng::toString(f);
+        const fmt::DenseMatrix x = operandBlock(61, 61, 3);
+        fmt::DenseMatrix y(50, 3);
+        eng::spmvBatch(m.ref(), x, y, e);
+        const fmt::DenseMatrix ref = perRhsReference(m.ref(), 61, 3, e);
+        EXPECT_TRUE(sameBits(y.data(), ref.data())) << eng::toString(f);
     }
 }
 
@@ -197,31 +236,14 @@ TEST(SpmvBatch, SimulatedDispatchBillsTheMachine)
         eng::spmvBatch(m.ref(), x, y, e);
         EXPECT_GT(machine.core().instructions(), 0u);
         EXPECT_TRUE(y.approxEquals(ref, 1e-12)) << eng::toString(f);
-
-        // Batching amortizes: one traversal shared by every RHS
-        // bills fewer cycles than the same RHS issued as back-to-back
-        // single-RHS SpMVs on one machine. Both sides start cold, so
-        // a per-RHS fallback cannot pass on cache warmth alone.
-        sim::Machine individual;
-        sim::SimExec ie(individual);
-        std::vector<Value> xr(static_cast<std::size_t>(x.rows()));
-        for (Index r = 0; r < x.cols(); ++r) {
-            for (Index j = 0; j < x.rows(); ++j)
-                xr[static_cast<std::size_t>(j)] = x.at(j, r);
-            std::vector<Value> yr(48, Value(0));
-            eng::spmv(m.ref(), xr, yr, ie);
-        }
-        EXPECT_LT(machine.core().cycles(), individual.core().cycles())
-            << eng::toString(f);
     }
 }
 
-TEST(SpmmBatch, BitIdenticalToConcatenationAndCloseToSpmm)
+TEST(SpmvBatch, BitIdenticalToConcatenationAndCloseToSpmm)
 {
-    // The dense-RHS SpMM entry: computing a block alone must be
-    // bit-identical to computing it inside a wider concatenation
-    // (per-column arithmetic is independent and ordered) — the
-    // property the serving layer's SpMM coalescing relies on.
+    // The serving layer's dense-operand SpMM path: a block computed
+    // alone is bit-identical to the same block inside a wider
+    // concatenation (each column is one canonical SpMV).
     const fmt::CooMatrix coo = dyadicMatrix(64, 48, 6);
     const fmt::CsrMatrix csr = fmt::CsrMatrix::fromCoo(coo);
     sim::NativeExec e;
@@ -236,9 +258,9 @@ TEST(SpmmBatch, BitIdenticalToConcatenationAndCloseToSpmm)
             wide.at(j, 3 + c) = b2.at(j, c);
     }
     fmt::DenseMatrix c1(64, 3), c2(64, 5), cw(64, 8);
-    eng::spmmBatch(csr, b1, c1, e);
-    eng::spmmBatch(csr, b2, c2, e);
-    eng::spmmBatch(csr, wide, cw, e);
+    eng::spmvBatch(csr, b1, c1, e);
+    eng::spmvBatch(csr, b2, c2, e);
+    eng::spmvBatch(csr, wide, cw, e);
     for (Index i = 0; i < 64; ++i) {
         for (Index c = 0; c < 3; ++c)
             EXPECT_EQ(c1.at(i, c), cw.at(i, c));
@@ -746,22 +768,112 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
             const std::vector<Value>& got = result.value();
             const std::vector<Value> want =
                 serialOracle(registry, "m", rampVector(200, r % 6));
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                ASSERT_NEAR(got[i], want[i], 1e-12)
-                    << "threads " << threads << " request " << r;
+            ASSERT_TRUE(sameBits(got, want))
+                << "threads " << threads << " request " << r;
         }
         session.drain();
         EXPECT_EQ(session.stats().completed.load(), 40u);
         EXPECT_EQ(session.stats().failed.load(), 0u);
-        // Batching amortizes: the equal answers above came from one
-        // kernel dispatch per full batch, not per request.
+        // The batcher still coalesced: one compute task per full
+        // batch, not per request.
         EXPECT_EQ(session.stats().batches.load(),
                   static_cast<std::uint64_t>(n_req / opts.maxBatch))
             << "threads " << threads;
         EXPECT_EQ(session.stats().widestBatch.load(),
                   static_cast<std::uint64_t>(opts.maxBatch))
             << "threads " << threads;
+    }
+}
+
+/** Banded COO (half-width @p half) with random, non-dyadic values:
+ *  rows sum in an order-sensitive way, so two traversals that add
+ *  in different orders disagree in the last bits. */
+fmt::CooMatrix
+randomBanded(Index n, Index half, std::uint64_t seed)
+{
+    Rng rng(seed);
+    fmt::CooMatrix coo(n, n);
+    for (Index r = 0; r < n; ++r)
+        for (Index c = std::max<Index>(0, r - half);
+             c <= std::min<Index>(n - 1, r + half); ++c)
+            coo.add(r, c, rng.uniform() * 2 - 1);
+    coo.canonicalize();
+    return coo;
+}
+
+TEST(ServeSession, BatchedAnswersBitIdenticalAcrossServedFormats)
+{
+    // Whatever company a request keeps in its batch, its answer is
+    // the unbatched one bit for bit: serial eng::spmv on the entry's
+    // encoding for K=1, the stack's own spmv for K=4. Random x and
+    // matrix values make any second summation order show.
+    const Index n = 240;
+    const fmt::CooMatrix coo = randomBanded(n, 6, 71);
+    serve::MatrixRegistry registry;
+    const eng::Format formats[] = {
+        eng::Format::kCsr, eng::Format::kEll, eng::Format::kDia,
+        eng::Format::kDense, eng::Format::kSmash,
+    };
+    std::vector<std::string> names;
+    for (eng::Format f : formats) {
+        names.push_back(eng::toString(f));
+        registry.put(names.back(), coo, f);
+    }
+    registry.registerSharded("sharded", coo, 4);
+    names.push_back("sharded");
+
+    Rng rng(73);
+    std::vector<std::vector<Value>> xs(16);
+    for (std::vector<Value>& x : xs) {
+        x.resize(static_cast<std::size_t>(n));
+        for (Value& v : x)
+            v = rng.uniform() * 2 - 1;
+    }
+    const auto oracle = [&](const std::string& name,
+                            const std::vector<Value>& x) {
+        std::vector<Value> y(static_cast<std::size_t>(n), Value(0));
+        if (name == "sharded") {
+            registry.sharded(name)->spmv(x, y, nullptr);
+        } else {
+            sim::NativeExec e;
+            eng::spmv(registry.encoded(name)->ref(), x, y, e);
+        }
+        return y;
+    };
+
+    for (int threads : threadCounts()) {
+        for (Index max_batch : {2, 16}) {
+            serve::SessionOptions opts;
+            opts.threads = threads;
+            opts.maxBatch = max_batch;
+            // kBatch waits for company; every queue fills to
+            // maxBatch long before this delay runs out.
+            opts.batchDelay = std::chrono::seconds(10);
+            serve::Session session(registry, opts);
+            serve::RequestOptions ropts;
+            ropts.priority = serve::Priority::kBatch;
+            std::vector<std::future<serve::Result<std::vector<Value>>>>
+                futures;
+            for (const std::string& name : names)
+                for (const std::vector<Value>& x : xs)
+                    futures.push_back(session.submit(
+                        serve::SpmvRequest{name, x, ropts}));
+            std::size_t k = 0;
+            for (const std::string& name : names) {
+                for (const std::vector<Value>& x : xs) {
+                    serve::Result<std::vector<Value>> result =
+                        futures[k++].get();
+                    ASSERT_TRUE(result.ok())
+                        << result.status().toString();
+                    EXPECT_TRUE(sameBits(result.value(), oracle(name, x)))
+                        << name << " threads " << threads
+                        << " maxBatch " << max_batch;
+                }
+            }
+            session.drain();
+            EXPECT_EQ(session.stats().widestBatch.load(),
+                      static_cast<std::uint64_t>(max_batch));
+        }
     }
 }
 
@@ -878,10 +990,8 @@ TEST(ServeSession, CompletesUnderOutOfOrderArrival)
             const std::vector<Value> want = serialOracle(
                 registry, p.name,
                 rampVector(registry.cols(p.name), p.kind));
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                ASSERT_NEAR(got[i], want[i], 1e-12)
-                    << p.name << " threads " << threads;
+            ASSERT_TRUE(sameBits(got, want))
+                << p.name << " threads " << threads;
         }
         session.drain();
         EXPECT_EQ(session.stats().completed.load(), 45u);
@@ -950,11 +1060,10 @@ TEST(TypedApi, CloseResolvesLaterSubmitsAsShuttingDown)
 
 TEST(ServeSpmm, ServedBlocksBitIdenticalToDirectSpmm)
 {
-    // SpMM requests served through the batcher (several blocks
-    // coalesced into one wide traversal) must be bit-identical to
-    // the direct eng::spmm/eng::spmmBatch result: dyadic values
-    // make every summation order exact, and per-column arithmetic
-    // is order-independent across the concatenation.
+    // SpMM requests served through the batcher must be
+    // bit-identical to the direct eng::spmvBatch result (each block
+    // computes alone), and, since dyadic values make every
+    // summation order exact, to eng::spmm's sparse-B route too.
     const fmt::CooMatrix coo = dyadicMatrix(96, 96, 6);
     const fmt::CsrMatrix csr = fmt::CsrMatrix::fromCoo(coo);
     for (int threads : threadCounts()) {
@@ -982,7 +1091,7 @@ TEST(ServeSpmm, ServedBlocksBitIdenticalToDirectSpmm)
             ASSERT_EQ(got.cols(), widths[r]);
             const fmt::DenseMatrix b = dyadicBlock(96, widths[r], r);
             fmt::DenseMatrix want(96, widths[r]);
-            eng::spmmBatch(csr, b, want, e);
+            eng::spmvBatch(csr, b, want, e);
             for (Index i = 0; i < 96; ++i)
                 for (Index c = 0; c < widths[r]; ++c)
                     ASSERT_EQ(got.at(i, c), want.at(i, c))

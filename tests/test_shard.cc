@@ -281,7 +281,7 @@ TEST(Shard, SpmvBatchBitIdenticalToUnsharded)
 
     fmt::DenseMatrix expect(180, nrhs);
     sim::NativeExec ne;
-    eng::spmmBatch(master, x, expect, ne);
+    eng::spmvBatch(master, x, expect, ne);
 
     for (int threads : threadCounts()) {
         exec::ThreadPool pool(threads);

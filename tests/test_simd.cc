@@ -4,8 +4,8 @@
  *
  *  - every kernel variant table — scalar, AVX2+BMI2, AVX-512F —
  *    produces *bit-identical* results on every entry point (CSR
- *    SpMV, batched CSR SpMV, ELL SpMV, the SMASH word walk single
- *    and batched, popcountWords), at every level the host supports,
+ *    SpMV, ELL SpMV, the SMASH word walk, popcountWords), at every
+ *    level the host supports,
  *    and ELL SpMV equals CSR SpMV on the same content;
  *  - the same holds through the engine dispatch at 1, 2, and 8
  *    threads with the active level switched via setIsaLevel() (the
@@ -39,7 +39,6 @@
 #include "core/smash_matrix.hh"
 #include "engine/dispatch.hh"
 #include "formats/csr_matrix.hh"
-#include "formats/dense_matrix.hh"
 #include "formats/ell_matrix.hh"
 #include "kernels/simd/simd_kernels.hh"
 #include "sim/exec_model.hh"
@@ -312,30 +311,6 @@ TEST(BitIdentity, CsrSpmvAcrossLevels)
     }
 }
 
-TEST(BitIdentity, CsrSpmvBatchAcrossLevels)
-{
-    const fmt::CsrMatrix m = fmt::CsrMatrix::fromCoo(csrTestMatrix());
-    // Straddle the variants' stack-accumulator boundary
-    // (detail::kBatchAccumWidth = 64, simd_internal.hh).
-    for (Index nrhs : {Index(3), Index(96)}) {
-        const std::vector<Value> flat =
-            pseudoX(m.cols() * nrhs, 59 + static_cast<std::uint64_t>(nrhs));
-        fmt::DenseMatrix xb(m.cols(), nrhs);
-        xb.data() = flat;
-        fmt::DenseMatrix ref(m.rows(), nrhs);
-        simd::kernelsFor(simd::IsaLevel::kScalar)
-            .csrSpmvBatchRange(m, xb, ref, 0, m.rows());
-        for (simd::IsaLevel level : supportedLevels()) {
-            fmt::DenseMatrix y(m.rows(), nrhs);
-            simd::kernelsFor(level).csrSpmvBatchRange(m, xb, y, 0,
-                                                      m.rows());
-            EXPECT_EQ(y.data(), ref.data())
-                << "batched CSR diverged at level "
-                << simd::toString(level) << ", nrhs " << nrhs;
-        }
-    }
-}
-
 TEST(BitIdentity, EllSpmvAcrossLevelsAndEqualsCsr)
 {
     for (const fmt::CsrMatrix& csr : ellEdgeMatrices()) {
@@ -407,28 +382,6 @@ TEST(BitIdentity, SmashWordWalkAcrossLevelsAndSplits)
                     << simd::toString(level) << ", bs " << bs;
             }
         }
-    }
-}
-
-TEST(BitIdentity, SmashBatchAcrossLevels)
-{
-    const core::SmashMatrix m = core::SmashMatrix::fromCoo(
-        csrTestMatrix(), core::HierarchyConfig({2}));
-    const Index words = m.hierarchy().level(0).numWords();
-    const Index nrhs = 5;
-    fmt::DenseMatrix xb(m.paddedCols(), nrhs);
-    xb.data() = pseudoX(m.paddedCols() * nrhs, 83);
-    fmt::DenseMatrix ref(m.rows(), nrhs);
-    simd::kernelsFor(simd::IsaLevel::kScalar)
-        .smashSpmvBatchWords(m, xb, ref.data().data(), nrhs, 0, words,
-                             0);
-    for (simd::IsaLevel level : supportedLevels()) {
-        fmt::DenseMatrix y(m.rows(), nrhs);
-        simd::kernelsFor(level).smashSpmvBatchWords(
-            m, xb, y.data().data(), nrhs, 0, words, 0);
-        EXPECT_EQ(y.data(), ref.data())
-            << "batched SMASH diverged at level "
-            << simd::toString(level);
     }
 }
 
