@@ -17,17 +17,18 @@
  * it past the server's --max-inflight is how the p99 knee and the
  * kOverloaded column appear.
  *
- * Smoke mode (--smoke): single process, four gates, exit 0 only if
- * all hold —
+ * Smoke mode (--smoke): four gates, exit 0 only if all hold —
  *   1. ping round-trips;
  *   2. remote SpMV answers are BIT-IDENTICAL to a local eng::spmv
  *      over the same demo matrix (both sides build it from
  *      net/demo_matrices.hh; dyadic values make the comparison
  *      exact, not approximate);
- *   3. a kBatch-priority fail-fast burst observes kOverloaded over
- *      the wire (run the server with a small --max-inflight, the CI
- *      leg uses 4) while at least one request still succeeds;
- *   4. a 1 us deadline observes kDeadlineExceeded over the wire.
+ *   3. a fail-fast burst observes kOverloaded over the wire while
+ *      the requests that found a slot still succeed;
+ *   4. a 1 ms deadline observes kDeadlineExceeded over the wire.
+ * Gates 1–2 run against the given endpoint. Gates 3–4 need requests
+ * to stay queued, so they run against a server the smoke forks
+ * itself, whose workers it holds busy until the burst is answered.
  *
  * Metrics mode (--metrics): fetch the server's Prometheus
  * exposition over the wire (Op::kMetrics) and print it verbatim —
@@ -60,6 +61,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -76,6 +78,7 @@
 #include "net/retry_client.hh"
 #include "net/server.hh"
 #include "sim/exec_model.hh"
+#include "../tests/worker_pin.hh"
 
 namespace
 {
@@ -326,6 +329,109 @@ printResilienceCounters(const Endpoint& ep)
 }
 
 /** Local bit-exact oracle for the demo "ranker" SpMV. */
+/** A net::Server in a forked child, on its own Unix socket. */
+struct ChildServer
+{
+    pid_t pid = -1;
+    std::string sockPath;
+};
+
+/** The child's body: serve the demo registry with @p options and
+ *  @p faults armed, optionally holding every worker busy (WorkerPin)
+ *  until SIGUSR1. Signals readiness with one byte on @p ready_fd,
+ *  then drains on SIGTERM and exits 0. */
+[[noreturn]] void
+runChildServer(int ready_fd, const net::ServerOptions& options,
+               const net::FaultConfig& faults, bool pin)
+{
+    net::FaultInjector::global().configure(faults);
+
+    sigset_t signals;
+    sigemptyset(&signals);
+    sigaddset(&signals, SIGTERM);
+    sigaddset(&signals, SIGUSR1);
+    pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+
+    serve::MatrixRegistry registry;
+    net::populateDemoRegistry(registry, 1);
+    net::Server server(registry, options);
+    std::string error;
+    if (!server.start(error)) {
+        std::cerr << "forked server: " << error << "\n";
+        ::_exit(1);
+    }
+    std::optional<testing::WorkerPin> held;
+    if (pin) {
+        held.emplace(server.session(), "ranker", net::demoVector(0));
+        if (!held->pinned()) {
+            std::cerr << "forked server: could not hold its workers\n";
+            ::_exit(1);
+        }
+    }
+    const char ready = 'k';
+    writeAll(ready_fd, &ready, 1);
+    ::close(ready_fd);
+
+    for (int sig = 0; sig != SIGTERM;) {
+        sigwait(&signals, &sig);
+        if (held)
+            held->release();
+    }
+    server.shutdown();
+    ::_exit(0);
+}
+
+/** Fork a child running runChildServer on /tmp/smash_<tag>_<pid>.sock
+ *  and wait until it listens; pid -1 (reported) on failure. */
+ChildServer
+forkServer(const std::string& tag, net::ServerOptions options,
+           const net::FaultConfig& faults, bool pin)
+{
+    ChildServer child;
+    child.sockPath = "/tmp/smash_" + tag + "_" +
+        std::to_string(::getpid()) + ".sock";
+    options.unixPath = child.sockPath;
+    int ready_fds[2];
+    if (::pipe(ready_fds) != 0) {
+        std::cerr << tag << ": pipe: " << std::strerror(errno) << "\n";
+        return child;
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+        std::cerr << tag << ": fork: " << std::strerror(errno) << "\n";
+        ::close(ready_fds[0]);
+        ::close(ready_fds[1]);
+        return child;
+    }
+    if (pid == 0) {
+        ::close(ready_fds[0]);
+        runChildServer(ready_fds[1], options, faults, pin);
+    }
+    ::close(ready_fds[1]);
+    char ready = 0;
+    const bool up = readAll(ready_fds[0], &ready, 1);
+    ::close(ready_fds[0]);
+    if (!up) {
+        std::cerr << tag << ": server never became ready\n";
+        ::waitpid(pid, nullptr, 0);
+        return child;
+    }
+    child.pid = pid;
+    return child;
+}
+
+/** SIGTERM the child, reap it and remove its socket; true when it
+ *  exited 0. */
+bool
+stopServer(const ChildServer& child)
+{
+    ::kill(child.pid, SIGTERM);
+    int status = 0;
+    ::waitpid(child.pid, &status, 0);
+    ::unlink(child.sockPath.c_str());
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
 std::vector<Value>
 localSpmv(const fmt::CsrMatrix& csr, const std::vector<Value>& x)
 {
@@ -376,68 +482,79 @@ runSmoke(const Endpoint& ep)
         }
     }
 
-    // Gate 3: the admission gate's kOverloaded survives the wire.
-    // kBatch priority keeps admitted requests parked in the batcher
-    // (batchDelay) while the fail-fast burst lands, so with a small
-    // server --max-inflight the burst must see both outcomes. The
-    // burst is sent in chunks with a full drain between them: a
-    // single 256-deep pipeline with no reads can deadlock both
-    // sides in sendto if scheduling lets most requests through —
-    // the OK responses (~1.5 KiB each) overflow the client's
-    // receive buffer, the server's writer blocks, the server stops
-    // reading, and the client is still blocked sending. Chunking
-    // bounds the un-drained response volume below any sane buffer
-    // while each chunk still out-paces a small --max-inflight.
+    // Gates 3 and 4 run against a forked server whose workers are
+    // held busy until SIGUSR1: admitted requests stay queued, so
+    // every outcome is fixed. Its gate has room for the 2 pins plus
+    // kQueued requests: the 1 ms deadline request, then kQueued - 1
+    // requests of the fail-fast burst. The rest of the burst gets
+    // kOverloaded, and those answers arrive first, since nothing
+    // admitted can complete before the release.
+    constexpr int kPins = 2;
+    constexpr int kQueued = 4;
+    constexpr int kBurst = 32;
+    net::ServerOptions child_options;
+    child_options.session.threads = kPins;
+    child_options.session.maxInflight = kPins + kQueued;
+    const ChildServer child =
+        forkServer("smoke", child_options, net::FaultConfig{}, true);
+    if (child.pid < 0)
+        return 1;
+    net::Client held;
+    if (!held.connectUnixSocket(child.sockPath, error)) {
+        std::cerr << "smoke: connect to forked server failed: " << error
+                  << "\n";
+        stopServer(child);
+        return 1;
+    }
+    serve::RequestOptions tight;
+    tight.deadline = std::chrono::milliseconds(1);
     serve::RequestOptions burst_options;
     burst_options.priority = serve::Priority::kBatch;
     burst_options.admission = serve::Admission::kFailFast;
-    std::uint64_t burst_ok = 0, burst_overloaded = 0;
-    constexpr int kBurstChunk = 32;
-    for (int base = 0; base < 256; base += kBurstChunk) {
-        int outstanding = 0;
-        for (int i = 0; i < kBurstChunk; ++i) {
-            if (client.sendSpmv(serve::SpmvRequest{
-                    "ranker", net::demoVector(base + i),
-                    burst_options}) != 0)
-                ++outstanding;
+    int sent = held.sendSpmv(serve::SpmvRequest{
+                   "ranker", net::demoVector(0), tight}) != 0;
+    for (int i = 0; i < kBurst; ++i)
+        sent += held.sendSpmv(serve::SpmvRequest{
+                    "ranker", net::demoVector(i), burst_options}) != 0;
+    std::uint64_t burst_ok = 0, burst_overloaded = 0, expired = 0;
+    const int rejected = kBurst - (kQueued - 1);
+    for (int i = 0; i < sent; ++i) {
+        if (i == rejected) {
+            // The deadline request was submitted before any of the
+            // rejections were written; 2 ms more and it has expired.
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            ::kill(child.pid, SIGUSR1);
         }
-        for (; outstanding > 0; --outstanding) {
-            const std::optional<net::Client::SpmvResponse> resp =
-                client.readSpmvResponse();
-            if (!resp) {
-                std::cerr << "smoke: burst read failed\n";
-                return 1;
-            }
-            if (resp->result.ok())
-                ++burst_ok;
-            else if (resp->result.status().code() ==
-                     serve::StatusCode::kOverloaded)
-                ++burst_overloaded;
+        const std::optional<net::Client::SpmvResponse> resp =
+            held.readSpmvResponse();
+        if (!resp) {
+            std::cerr << "smoke: burst read failed\n";
+            stopServer(child);
+            return 1;
         }
+        const serve::StatusCode code = resp->result.status().code();
+        if (resp->result.ok())
+            ++burst_ok;
+        else if (code == serve::StatusCode::kOverloaded && i < rejected)
+            ++burst_overloaded;
+        else if (code == serve::StatusCode::kDeadlineExceeded)
+            ++expired;
     }
-    if (burst_ok == 0 || burst_overloaded == 0) {
+    held.close();
+    const bool child_ok = stopServer(child);
+    if (sent != kBurst + 1 || burst_ok != kQueued - 1 ||
+        burst_overloaded != static_cast<std::uint64_t>(rejected)) {
         std::cerr << "smoke: burst saw ok=" << burst_ok
-                  << " overloaded=" << burst_overloaded
-                  << " (expected both > 0; run the server with a "
-                     "small --max-inflight, e.g. 4)\n";
+                  << " overloaded=" << burst_overloaded << " (expected "
+                  << kQueued - 1 << " and " << rejected << ")\n";
         return 1;
     }
-
-    // Gate 4: kDeadlineExceeded survives the wire. A 1 us budget at
-    // kBatch priority expires in the batcher's flush delay, so the
-    // pipeline resolves it at the expiry check instead of computing.
-    serve::RequestOptions tight;
-    tight.priority = serve::Priority::kBatch;
-    tight.deadline = std::chrono::microseconds(1);
-    bool saw_deadline = false;
-    for (int i = 0; i < 8 && !saw_deadline; ++i) {
-        serve::Result<std::vector<Value>> r = client.spmv(
-            serve::SpmvRequest{"ranker", net::demoVector(i), tight});
-        saw_deadline = r.status().code() ==
-            serve::StatusCode::kDeadlineExceeded;
-    }
-    if (!saw_deadline) {
+    if (expired != 1) {
         std::cerr << "smoke: no kDeadlineExceeded over the wire\n";
+        return 1;
+    }
+    if (!child_ok) {
+        std::cerr << "smoke: forked server exited abnormally\n";
         return 1;
     }
 
@@ -466,34 +583,22 @@ runMetrics(const Endpoint& ep)
     return 0;
 }
 
-/** The forked chaos server: fault injector armed, tight admission,
- *  tenant quota, shed ladder, fast reaper. Signals readiness with
- *  one byte on @p ready_fd, then drains on SIGTERM and exits 0. */
-void
-runChaosServer(int ready_fd, const std::string& sock_path,
-               const std::string& fault_spec)
+int
+runChaos(int threads, int requests_per_thread,
+         const std::string& fault_spec)
 {
     net::FaultConfig faults;
     std::string error;
     if (!net::parseFaultSpec(fault_spec, faults, error)) {
-        std::cerr << "chaos server: " << error << "\n";
-        ::_exit(1);
+        std::cerr << "chaos: " << error << "\n";
+        return 1;
     }
-    net::FaultInjector::global().configure(faults);
-
-    sigset_t stop_signals;
-    sigemptyset(&stop_signals);
-    sigaddset(&stop_signals, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
-
-    serve::MatrixRegistry registry;
-    net::populateDemoRegistry(registry, 1);
-
+    // The forked chaos server: fault injector armed, a small gate
+    // and a per-tenant quota (the run must provoke kOverloaded and
+    // kQuotaExceeded, not just transport faults), the shed ladder,
+    // and a fast reaper.
     net::ServerOptions options;
-    options.unixPath = sock_path;
     options.session.threads = 2;
-    // Small gate + per-tenant quota: the chaos run must provoke
-    // kOverloaded and kQuotaExceeded, not just transport faults.
     options.session.maxInflight = 8;
     options.tenantQuota.ratePerSec = 2000;
     options.tenantQuota.burst = 64;
@@ -501,51 +606,10 @@ runChaosServer(int ready_fd, const std::string& sock_path,
     options.session.shed.queueTarget =
         std::chrono::microseconds(20000);
     options.idleTimeout = std::chrono::milliseconds(250);
-
-    net::Server server(registry, options);
-    if (!server.start(error)) {
-        std::cerr << "chaos server: " << error << "\n";
-        ::_exit(1);
-    }
-    const char ready = 'k';
-    writeAll(ready_fd, &ready, 1);
-    ::close(ready_fd);
-
-    int sig = 0;
-    sigwait(&stop_signals, &sig);
-    server.shutdown();
-    ::_exit(0);
-}
-
-int
-runChaos(int threads, int requests_per_thread,
-         const std::string& fault_spec)
-{
-    const std::string sock_path = "/tmp/smash_chaos_" +
-        std::to_string(::getpid()) + ".sock";
-
-    int ready_fds[2];
-    if (::pipe(ready_fds) != 0) {
-        std::cerr << "chaos: pipe: " << std::strerror(errno) << "\n";
+    const ChildServer child = forkServer("chaos", options, faults, false);
+    if (child.pid < 0)
         return 1;
-    }
-    const pid_t child = ::fork();
-    if (child < 0) {
-        std::cerr << "chaos: fork: " << std::strerror(errno) << "\n";
-        return 1;
-    }
-    if (child == 0) {
-        ::close(ready_fds[0]);
-        runChaosServer(ready_fds[1], sock_path, fault_spec);
-    }
-    ::close(ready_fds[1]);
-    char ready = 0;
-    if (!readAll(ready_fds[0], &ready, 1)) {
-        std::cerr << "chaos: server never became ready\n";
-        ::waitpid(child, nullptr, 0);
-        return 1;
-    }
-    ::close(ready_fds[0]);
+    const std::string& sock_path = child.sockPath;
 
     const fmt::CsrMatrix csr =
         fmt::CsrMatrix::fromCoo(net::demoRanker());
@@ -633,11 +697,7 @@ runChaos(int threads, int requests_per_thread,
         printResilienceCounters(ep);
     }
 
-    ::kill(child, SIGTERM);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    const bool clean_exit =
-        WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    const bool clean_exit = stopServer(child);
 
     const std::uint64_t expected =
         std::uint64_t(threads) * std::uint64_t(requests_per_thread);
@@ -647,7 +707,6 @@ runChaos(int threads, int requests_per_thread,
               << reconnects.load() << " reconnects, child "
               << (clean_exit ? "exited 0" : "EXITED ABNORMALLY")
               << (leak ? ", TENANT SLOT LEAK" : "") << "\n";
-    ::unlink(sock_path.c_str());
 
     const bool pass = completed.load() == expected &&
         mismatches.load() == 0 && gave_up.load() == 0 && clean_exit &&

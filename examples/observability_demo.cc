@@ -65,15 +65,12 @@ main()
     std::cout << "registered 'ranker' as " << eng::toString(chosen)
               << "\n";
 
-    // 2. Serve mixed-priority SpMV traffic: kHigh flushes
-    //    immediately (batcher reason "priority"), kNormal goes
-    //    straight to a free compute slot ("idle"), and work that
-    //    finds every slot busy coalesces until the batch fills
-    //    ("size") or the flush timer fires ("deadline") — all of
-    //    which the metrics count.
+    // 2. Serve mixed-priority SpMV traffic: each request is one
+    //    pool task, and a free worker takes the oldest kHigh
+    //    request first, then kNormal, then kBatch. Every request
+    //    records its prepare and compute spans and its delivery.
     serve::SessionOptions options;
     options.threads = 4;
-    options.maxBatch = 8;
     {
         serve::Session session(registry, options);
         std::vector<std::future<serve::Result<std::vector<Value>>>>
@@ -106,7 +103,7 @@ main()
         session.drain();
     } // session + pool torn down: trace writers quiesced
 
-    // 4. Served batches compute serially, one per worker. The
+    // 4. Served requests compute serially, one per worker. The
     //    engine's parallel driver, called on the served encoding,
     //    builds a partition plan on its first call (plan_cache
     //    "miss") and reuses it on the next ("hit").

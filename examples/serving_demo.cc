@@ -5,8 +5,8 @@
  * through the async pipeline. Demonstrates the serving-layer
  * guarantees — no exception crosses the API boundary (statuses come
  * back as serve::Result), format auto-selection runs once per
- * matrix, conversions are cached, concurrent requests coalesce into
- * batched computes, priorities shape flush order, and admission
+ * matrix, conversions are cached, each request computes alone on
+ * one pool worker, priorities set start order, and admission
  * control sheds overload with kOverloaded instead of queueing
  * without bound.
  */
@@ -59,18 +59,18 @@ main()
               << ", 'graph' as " << eng::toString(graph_fmt) << "\n";
 
     // 2. A session serves typed requests: submit() returns a
-    //    future<Result<T>>; the pipeline converts (once), batches
-    //    per (matrix, op class), and computes on its thread pool.
+    //    future<Result<T>>; the pipeline converts (once) and runs
+    //    each request as one task on its thread pool.
     serve::SessionOptions options;
     options.threads = 4;
-    options.maxBatch = 8;
     options.maxInflight = 64; // admission control on
     serve::Session session(registry, options);
 
     std::vector<std::future<serve::Result<std::vector<Value>>>> spmv;
     for (Index wave = 0; wave < 2; ++wave)
         for (Index k = 0; k < 8; ++k) {
-            // kBatch priority: throughput traffic, deep coalescing.
+            // kBatch priority: throughput traffic, started last and
+            // shed first under overload.
             serve::RequestOptions bulk;
             bulk.priority = serve::Priority::kBatch;
             spmv.push_back(session.submit(serve::SpmvRequest{
@@ -79,8 +79,8 @@ main()
                 "graph", operand(1024, k + 3), {}}));
         }
 
-    // A latency-sensitive request: kHigh flushes its queue at once
-    // (any parked requests against the same matrix ride along).
+    // A latency-sensitive request: the next free worker takes kHigh
+    // ahead of any queued kNormal or kBatch request.
     serve::RequestOptions urgent;
     urgent.priority = serve::Priority::kHigh;
     serve::Result<std::vector<Value>> hot = session
@@ -118,8 +118,9 @@ main()
     std::cout << "spadd ranker+graph -> " << sum.status().toString()
               << ", " << sum.value().nnz() << " non-zeros\n";
 
-    // 5. Futures resolve as batches complete (arrival order need
-    //    not match submission order; every future is independent).
+    // 5. Futures resolve as their requests complete (arrival order
+    //    need not match submission order; every future is
+    //    independent).
     double checksum = 0;
     for (auto& f : spmv) {
         serve::Result<std::vector<Value>> r = f.get();
@@ -130,13 +131,11 @@ main()
               << " spmv requests, result checksum " << checksum << "\n";
 
     // drain() settles the pipeline's accounting before we read it
-    // (futures resolve before the deliver task finishes counting).
+    // (futures resolve before their worker finishes counting).
     session.drain();
     const serve::PipelineStats& stats = session.stats();
     std::cout << "pipeline: " << stats.completed.load()
-              << " completed in " << stats.batches.load()
-              << " batches (widest " << stats.widestBatch.load()
-              << "); p99 latency (normal) "
+              << " completed; p99 latency (normal) "
               << stats.latency(serve::Priority::kNormal)
                      .percentile(0.99)
               << " us; conversions: ranker "

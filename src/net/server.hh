@@ -59,7 +59,7 @@ struct ServerOptions
     /** TCP listener port: -1 disables, 0 binds an ephemeral port
      *  (read back via tcpPort()). */
     int tcpPort = -1;
-    /** The owned session's tuning (threads, batching, admission). */
+    /** The owned session's tuning (threads, admission, shedding). */
     serve::SessionOptions session{};
     /** Outstanding requests per connection before the connection
      *  itself answers kOverloaded (0 = unbounded; the session's

@@ -15,7 +15,7 @@
  * relaxed adds, percentile() scans the snapshot only when asked.
  *
  * Naming convention: metric names may carry Prometheus-style
- * labels inline — `smash_batcher_flushes_total{reason="size"}` —
+ * labels inline — `smash_pipeline_requests_total{result="failed"}` —
  * and exportText() groups label variants under one # TYPE line.
  *
  * Ownership/threading contract: the registry owns its instruments;

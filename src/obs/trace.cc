@@ -178,19 +178,6 @@ TraceCollector::clear()
         ring->head.store(0, std::memory_order_release);
 }
 
-const char*
-flushReasonName(std::uint32_t reason)
-{
-    switch (static_cast<FlushReason>(reason)) {
-      case FlushReason::kSize: return "size";
-      case FlushReason::kDeadline: return "deadline";
-      case FlushReason::kPriority: return "priority";
-      case FlushReason::kManual: return "manual";
-      case FlushReason::kIdle: return "idle";
-    }
-    return "unknown";
-}
-
 namespace
 {
 
@@ -207,8 +194,6 @@ kindInfo(std::uint16_t kind)
       case EventKind::kPoolBatch: return {"parallelFor", "pool"};
       case EventKind::kPoolChunk: return {"chunk", "pool"};
       case EventKind::kPoolTask: return {"task", "pool"};
-      case EventKind::kBatchEnqueue: return {"enqueue", "batcher"};
-      case EventKind::kBatchFlush: return {"flush", "batcher"};
       case EventKind::kPipelinePrepare:
         return {"prepare", "pipeline"};
       case EventKind::kPipelineCompute:
@@ -268,19 +253,9 @@ writeArgs(std::ostream& os, const TraceEvent& e)
       case EventKind::kPoolTask:
         os << "{}";
         return;
-      case EventKind::kBatchEnqueue:
-        os << "{\"op\": " << e.a0 << ", \"priority\": " << e.a1
-           << "}";
-        return;
-      case EventKind::kBatchFlush:
-        os << "{\"reason\": \"" << flushReasonName(e.a0)
-           << "\", \"size\": " << e.a1 << "}";
-        return;
       case EventKind::kPipelinePrepare:
-        os << "{\"op\": " << e.a0 << "}";
-        return;
       case EventKind::kPipelineCompute:
-        os << "{\"op\": " << e.a0 << ", \"width\": " << e.a1 << "}";
+        os << "{\"op\": " << e.a0 << "}";
         return;
       case EventKind::kPipelineDeliver:
         os << "{\"ok\": " << e.a0 << "}";

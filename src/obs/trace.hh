@@ -4,8 +4,8 @@
  * lock-free per-thread ring buffers, dumped as Chrome trace-event
  * JSON (chrome://tracing / Perfetto's legacy loader). Instrumented
  * subsystems: the ThreadPool (parallelFor batches, chunk claims and
- * steals, posted tasks), the serving batcher (enqueues, flushes),
- * the pipeline (prepare/compute/deliver), the engine dispatch
+ * steals, posted tasks), the serving pipeline (prepare/compute/
+ * deliver of each request), the engine dispatch
  * (tile-path and ISA-level selections), the plan cache (hits and
  * misses), and the registry's encoding epoch swaps.
  *
@@ -50,11 +50,11 @@ enum class EventKind : std::uint16_t
     kPoolBatch = 0,    //!< one parallelFor call (span)
     kPoolChunk = 1,    //!< one chunk claim (a0 chunk, a1 stolen)
     kPoolTask = 2,     //!< one posted task run (span)
-    kBatchEnqueue = 3, //!< request entered a batcher queue
-    kBatchFlush = 4,   //!< queue flush (a0 reason, a1 batch size)
-    kPipelinePrepare = 5, //!< request handed to the batcher
-    kPipelineCompute = 6, //!< one batch compute (span; a0 op,
-                          //!< a1 width)
+    // 3 and 4 are retired: dumped traces may still hold them, so
+    // they are never reused.
+    kPipelinePrepare = 5, //!< one request's encodings resolved
+                          //!< (span; a0 op)
+    kPipelineCompute = 6, //!< one request computed (span; a0 op)
     kPipelineDeliver = 7, //!< one request resolved (a0 ok)
     kDispatch = 8,        //!< kernel dispatch (a0 format, a1 isa,
                           //!< a2 path)
@@ -73,26 +73,6 @@ enum class EventKind : std::uint16_t
     kShardReencode = 17,  //!< per-shard epoch swap (a0 shard,
                           //!< a1 new format)
 };
-
-/** Batcher flush reasons (kBatchFlush a0). */
-enum class FlushReason : std::uint32_t
-{
-    kSize = 0,
-    kDeadline = 1,
-    kPriority = 2,
-    kManual = 3,
-    kIdle = 4, //!< a compute slot was free (work-conserving flush)
-};
-
-/** Number of FlushReason values (sizes per-reason tables). */
-inline constexpr std::size_t kNumFlushReasons = 5;
-static_assert(static_cast<std::size_t>(FlushReason::kIdle) + 1 ==
-                  kNumFlushReasons,
-              "kNumFlushReasons must follow the last FlushReason");
-
-/** Label of one FlushReason ("size", ..., "idle"; "unknown" when
- *  out of range) — the trace args and the metrics reason label. */
-const char* flushReasonName(std::uint32_t reason);
 
 /** Dispatch path shapes (kDispatch a2). Values 2 and 5 are
  *  retired; the others keep their numbers so older trace dumps

@@ -107,14 +107,13 @@ MatrixRegistry::format(const std::string& name) const
 }
 
 MatrixRegistry::EncodingPtr
-MatrixRegistry::lookup(Slot& s, std::optional<eng::Format> format,
-                       bool cachedOnly)
+MatrixRegistry::lookup(Slot& s, std::optional<eng::Format> format)
 {
     const shard::ShardedMatrix& m = *s.stack;
     if (m.shardCount() == 1) {
         // The stack's own encoding is the one it serves: pointer-
         // equal to what requests compute on, never a second copy.
-        EncodingPtr own = m.shardEncoding(0, format, cachedOnly);
+        EncodingPtr own = m.shardEncoding(0, format);
         if (own || !format)
             return own;
     }
@@ -126,8 +125,6 @@ MatrixRegistry::lookup(Slot& s, std::optional<eng::Format> format,
     auto it = s.encodings.find(f);
     if (it != s.encodings.end())
         return it->second;
-    if (cachedOnly)
-        return nullptr;
     ++s.conversions;
     return s.encodings
         .emplace(f, std::make_shared<const eng::SparseMatrixAny>(
@@ -138,20 +135,13 @@ MatrixRegistry::lookup(Slot& s, std::optional<eng::Format> format,
 MatrixRegistry::EncodingPtr
 MatrixRegistry::encoded(const std::string& name)
 {
-    return lookup(slot(name), std::nullopt, false);
+    return lookup(slot(name), std::nullopt);
 }
 
 MatrixRegistry::EncodingPtr
 MatrixRegistry::encodedAs(const std::string& name, eng::Format format)
 {
-    return lookup(slot(name), format, false);
-}
-
-MatrixRegistry::EncodingPtr
-MatrixRegistry::encodedAsIfCached(const std::string& name,
-                                  eng::Format format)
-{
-    return lookup(slot(name), format, true);
+    return lookup(slot(name), format);
 }
 
 void

@@ -166,13 +166,6 @@ class MatrixRegistry
     EncodingPtr encodedAs(const std::string& name, eng::Format format);
 
     /**
-     * The encoding in @p format if (and only if) it is already
-     * built — never converts; returns null on a cold slot.
-     */
-    EncodingPtr encodedAsIfCached(const std::string& name,
-                                  eng::Format format);
-
-    /**
      * Mutation API. Each call applies to the stack under the slot
      * lock (see ShardedMatrix::applyUpdates()), drops the
      * whole-matrix encodings when content changed, and fires the
@@ -252,9 +245,8 @@ class MatrixRegistry
                     std::optional<eng::Format> format);
     /** Encoding in @p format (shard 0's when unset): the stack's
      *  own for K=1 when the formats match, a whole-matrix one
-     *  otherwise — built on a miss unless @p cachedOnly. */
-    EncodingPtr lookup(Slot& s, std::optional<eng::Format> format,
-                       bool cachedOnly);
+     *  otherwise — built on a miss. */
+    EncodingPtr lookup(Slot& s, std::optional<eng::Format> format);
     /** Run @p apply(stack, policy) under the slot lock, drop the
      *  whole-matrix encodings if content changed, and fire the
      *  re-encode hook when a shard scheduled one. */

@@ -7,21 +7,19 @@
  * names registered matrices; Session::submit() validates it, runs
  * admission control, and returns a future<Result<T>> (result.hh).
  *
- *   priority  — kHigh flushes its queue immediately (latency),
- *               kNormal waits up to the session's maxDelay,
- *               kBatch waits up to batchDelay (throughput);
+ *   priority  — start order: a free worker takes the oldest kHigh
+ *               request, then kNormal, then kBatch; also the class
+ *               the degradation ladder sheds first (kBatch);
  *   deadline  — relative budget covering admission blocking and
  *               queue wait; expired requests resolve to
  *               kDeadlineExceeded instead of computing (0 = none);
  *   admission — at capacity, kFailFast resolves to kOverloaded
  *               immediately, kBlock waits for a slot.
  *
- * Internal surface: Request is the envelope the batcher queues and
- * the pipeline computes — the op payload (a variant, one alternative
- * per op class) plus the promise, timing, and the admission ticket
- * whose destruction releases the in-flight slot. Batcher queues are
- * keyed by QueueKey = (matrix, op class), so SpMV coalescing never
- * mixes with SpMM blocks or SpAdd merges.
+ * Internal surface: Request is the envelope the pipeline queues and
+ * computes — the op payload (a variant, one alternative per op
+ * class) plus the completion, timing, and the admission ticket
+ * whose destruction releases the in-flight slot.
  */
 
 #ifndef SMASH_SERVE_REQUEST_HH
@@ -48,9 +46,9 @@ namespace smash::serve
 /** Scheduling class of one request (array index: kHigh first). */
 enum class Priority
 {
-    kHigh = 0,   //!< flush immediately; drags its queue along
-    kNormal = 1, //!< flush within the session's maxDelay
-    kBatch = 2,  //!< flush within batchDelay (deep coalescing)
+    kHigh = 0,   //!< starts first; shed last
+    kNormal = 1, //!< the default
+    kBatch = 2,  //!< starts last; shed first
 };
 
 inline constexpr std::size_t kNumPriorities = 3;
@@ -109,7 +107,7 @@ struct SpaddRequest
     RequestOptions options{};
 };
 
-/** Operation class of a batcher queue (variant index of Request). */
+/** Operation class of a request (variant index of Request). */
 enum class OpClass
 {
     kSpmv = 0,
@@ -128,25 +126,6 @@ toString(OpClass op)
     return "unknown";
 }
 
-/** Batcher queue key: requests coalesce per (matrix, op class). */
-struct QueueKey
-{
-    std::string matrix;
-    OpClass op = OpClass::kSpmv;
-
-    bool operator==(const QueueKey&) const = default;
-};
-
-struct QueueKeyHash
-{
-    std::size_t
-    operator()(const QueueKey& k) const
-    {
-        return std::hash<std::string>()(k.matrix) ^
-            (static_cast<std::size_t>(k.op) * 0x9e3779b97f4a7c15ull);
-    }
-};
-
 /**
  * Completion channel of one in-flight request: the future's promise
  * by default, or — for remote completion, where the consumer is a
@@ -155,10 +134,12 @@ struct QueueKeyHash
  * always resolves *before* releasing the admission ticket, so
  * Session::close() returning guarantees every callback has returned
  * (the wire layer's teardown safety rests on that ordering).
- * Callbacks run on a pipeline worker (or inline on the submitting
- * thread for validation/admission failures) and must not throw —
+ * Callbacks run on the pipeline worker that computed the request
+ * (holding that worker until they return), or inline on the
+ * submitting thread for validation/admission failures, and must
+ * not throw —
  * an escaping exception is swallowed so it cannot take down the
- * worker or strand the batch's remaining requests.
+ * worker.
  */
 template <typename T>
 struct Completion
@@ -204,7 +185,7 @@ struct SpaddWork
 
 /**
  * The internal envelope: one admitted request flowing through the
- * batcher and pipeline. Move-only (it owns the result promise). The
+ * pipeline. Move-only (it owns the result promise). The
  * admission ticket is released when the envelope dies — wherever
  * that happens (delivery, expiry, or a failed stage).
  */
@@ -212,6 +193,7 @@ struct Request
 {
     using Clock = std::chrono::steady_clock;
 
+    std::string matrix; //!< registry name (SpAdd: the A operand)
     RequestOptions options{};
     Clock::time_point submitted{};                      //!< latency base
     Clock::time_point expiry = Clock::time_point::max(); //!< absolute
@@ -219,12 +201,13 @@ struct Request
      *  stage boundary (obs: per-stage latency histograms and the
      *  queue-vs-compute breakdown in PipelineStats). */
     Clock::time_point admitted{};  //!< passed the admission gate
-    Clock::time_point prepared{};  //!< encodings ready, handed over
-    Clock::time_point flushed{};   //!< batch left its queue
+    Clock::time_point started{};   //!< its pool task took it
+    Clock::time_point prepared{};  //!< encodings ready
     Clock::time_point computed{};  //!< kernel finished
     std::shared_ptr<void> ticket;                       //!< admission slot
-    /** Promise already satisfied (pipeline-internal bookkeeping, so
-     *  a failure sweep never double-resolves a delivered request). */
+    /** Completion already resolved (pipeline-internal bookkeeping,
+     *  so a late failure never double-resolves a delivered
+     *  request). */
     bool resolved = false;
     std::variant<SpmvWork, SpmmWork, SpaddWork> work;
 

@@ -1,6 +1,5 @@
 #include "serve/session.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -20,29 +19,13 @@ expiryOf(Request::Clock::time_point now, const RequestOptions& options)
     return now + options.deadline;
 }
 
-std::chrono::microseconds
-resolveBatchDelay(const SessionOptions& options)
-{
-    if (options.batchDelay.count() > 0)
-        return std::max(options.batchDelay, options.maxDelay);
-    return options.maxDelay * 8;
-}
-
 } // namespace
 
 Session::Session(MatrixRegistry& registry, const SessionOptions& options)
     : registry_(registry), options_(options),
       pool_(options.threads),
       shedder_(options.shed, options.maxInflight),
-      pipeline_(registry, pool_, &shedder_),
-      batcher_(options.maxBatch, options.maxDelay,
-               resolveBatchDelay(options),
-               [this](const QueueKey& key, std::vector<Request> batch) {
-                   pipeline_.postCompute(key, std::move(batch),
-                                         batcher_);
-               },
-               // Each batch computes serially on one worker.
-               pool_.size())
+      pipeline_(registry, pool_, &shedder_)
 {
     SMASH_CHECK(options_.maxInflight >= 0,
                 "in-flight limit must be non-negative");
@@ -176,12 +159,13 @@ Session::release()
 
 template <typename Work>
 void
-Session::launch(QueueKey key, const RequestOptions& options,
+Session::launch(std::string matrix, const RequestOptions& options,
                 Request::Clock::time_point now,
                 Request::Clock::time_point expiry,
                 std::shared_ptr<void> ticket, Work work)
 {
     Request envelope;
+    envelope.matrix = std::move(matrix);
     envelope.options = options;
     envelope.submitted = now;
     envelope.expiry = expiry;
@@ -190,7 +174,7 @@ Session::launch(QueueKey key, const RequestOptions& options,
     envelope.admitted = Request::Clock::now();
     envelope.ticket = std::move(ticket);
     envelope.work = std::move(work);
-    pipeline_.postPrepare(key, std::move(envelope), batcher_);
+    pipeline_.post(std::move(envelope));
 }
 
 Status
@@ -243,8 +227,8 @@ Session::precheck(const SpaddRequest& req) const
 
 template <typename Work, typename Req, typename Payload>
 void
-Session::submitWork(Req& req, std::string& matrix, OpClass op,
-                    Payload& payload, decltype(Work::done) done)
+Session::submitWork(Req& req, std::string& matrix, Payload& payload,
+                    decltype(Work::done) done)
 {
     const auto now = Request::Clock::now();
     const auto expiry = expiryOf(now, req.options);
@@ -261,7 +245,7 @@ Session::submitWork(Req& req, std::string& matrix, OpClass op,
         done.resolve(std::move(admitted.status));
         return;
     }
-    launch(QueueKey{std::move(matrix), op}, req.options, now, expiry,
+    launch(std::move(matrix), req.options, now, expiry,
            std::move(admitted.ticket),
            Work{std::move(payload), std::move(done)});
 }
@@ -271,16 +255,14 @@ Session::submit(SpmvRequest req)
 {
     Completion<std::vector<Value>> done;
     auto future = done.result.get_future();
-    submitWork<SpmvWork>(req, req.matrix, OpClass::kSpmv, req.x,
-                         std::move(done));
+    submitWork<SpmvWork>(req, req.matrix, req.x, std::move(done));
     return future;
 }
 
 void
 Session::submit(SpmvRequest req, SpmvCallback done)
 {
-    submitWork<SpmvWork>(req, req.matrix, OpClass::kSpmv, req.x,
-                         {{}, std::move(done)});
+    submitWork<SpmvWork>(req, req.matrix, req.x, {{}, std::move(done)});
 }
 
 std::future<Result<fmt::DenseMatrix>>
@@ -288,16 +270,14 @@ Session::submit(SpmmRequest req)
 {
     Completion<fmt::DenseMatrix> done;
     auto future = done.result.get_future();
-    submitWork<SpmmWork>(req, req.matrix, OpClass::kSpmm, req.b,
-                         std::move(done));
+    submitWork<SpmmWork>(req, req.matrix, req.b, std::move(done));
     return future;
 }
 
 void
 Session::submit(SpmmRequest req, SpmmCallback done)
 {
-    submitWork<SpmmWork>(req, req.matrix, OpClass::kSpmm, req.b,
-                         {{}, std::move(done)});
+    submitWork<SpmmWork>(req, req.matrix, req.b, {{}, std::move(done)});
 }
 
 std::future<Result<fmt::CooMatrix>>
@@ -305,16 +285,14 @@ Session::submit(SpaddRequest req)
 {
     Completion<fmt::CooMatrix> done;
     auto future = done.result.get_future();
-    submitWork<SpaddWork>(req, req.a, OpClass::kSpadd, req.b,
-                          std::move(done));
+    submitWork<SpaddWork>(req, req.a, req.b, std::move(done));
     return future;
 }
 
 void
 Session::submit(SpaddRequest req, SpaddCallback done)
 {
-    submitWork<SpaddWork>(req, req.a, OpClass::kSpadd, req.b,
-                          {{}, std::move(done)});
+    submitWork<SpaddWork>(req, req.a, req.b, {{}, std::move(done)});
 }
 
 void
@@ -328,7 +306,7 @@ Session::close()
     // Drain until the admission gate is empty too, not just the
     // pipeline: a submit that passed admit() holds a ticket
     // (gate_.total > 0, under the gate lock) until its envelope
-    // resolves, but may not have reached postPrepare() yet — the
+    // resolves, but may not have reached the pipeline yet — the
     // pipeline cannot see it. Waiting the gate out guarantees no
     // such straggler can touch the members being torn down.
     for (;;) {
@@ -363,19 +341,7 @@ Session::scaleValues(const std::string& matrix, Value factor)
 void
 Session::drain()
 {
-    // Partial batches would otherwise wait out their flush cap (up
-    // to batchDelay); the explicit flush lets drain() finish as
-    // soon as compute does. Flush on every progress event rather
-    // than once: a request whose stage-1 task has not reached the
-    // batcher yet would miss a single sweep and strand drain() on
-    // the cap. drainWait() sleeps on the pipeline's condition
-    // variable between events — no fixed-interval polling.
-    std::uint64_t seen = 0;
-    for (;;) {
-        batcher_.flushAll();
-        if (pipeline_.drainWait(seen))
-            return;
-    }
+    pipeline_.drain();
 }
 
 } // namespace smash::serve

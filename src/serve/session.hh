@@ -2,14 +2,12 @@
  * @file
  * serve::Session — the serving subsystem's front door.
  *
- * A Session wires a shared MatrixRegistry to its own ThreadPool,
- * Batcher, and Pipeline. submit() accepts a typed request (SpMV,
- * SpMM, or SpAdd — request.hh) and returns a future<Result<T>>;
- * admitted requests flow through the async pipeline: conversion
- * (cached in the registry), batching (coalesced per (matrix, op)
- * with concurrent requests), one compute task per batch — each
- * request computed alone, so its answer does not depend on its
- * batch — and delivery.
+ * A Session wires a shared MatrixRegistry to its own ThreadPool
+ * and Pipeline. submit() accepts a typed request (SpMV, SpMM, or
+ * SpAdd — request.hh) and returns a future<Result<T>>; each
+ * admitted request becomes one pool task that resolves its
+ * encodings (conversions cached in the registry), computes it
+ * alone, and delivers it on the same worker.
  * No exception crosses the API boundary — validation failures come
  * back as ready Results (kNotFound / kInvalidOperand), admission
  * failures as kOverloaded / kDeadlineExceeded / kShuttingDown, and
@@ -26,12 +24,8 @@
  * requests between submit() and delivery. At capacity, a request's
  * RequestOptions decide — kFailFast resolves to kOverloaded
  * immediately; kBlock waits for a slot (bounded by the request's
- * deadline). Priorities shape the batcher's flush order: kHigh
- * flushes its queue now; kNormal flushes at once while a compute
- * slot is free (one per pool worker: each batch computes serially
- * on one worker) and otherwise when one frees — maxDelay is a cap
- * that binds only while every slot is busy, not a wait; kBatch
- * waits for company within batchDelay.
+ * deadline). Priorities set start order: a free worker takes the
+ * oldest queued kHigh request first, then kNormal, then kBatch.
  *
  * Sessions are thread-safe: any number of client threads may
  * submit() concurrently, and several Sessions may share one
@@ -47,7 +41,7 @@
  * back to synchronous (inline) reselection.
  *
  * Ownership/threading contract: the Session borrows the registry,
- * which must outlive it, and owns its pool/batcher/pipeline.
+ * which must outlive it, and owns its pool and pipeline.
  * Mutating matrices concurrently with destroying the session
  * serving them is safe: the registry invokes the hook under its
  * hook lock, and the destructor's detach blocks on that lock — a
@@ -59,7 +53,6 @@
 #define SMASH_SERVE_SESSION_HH
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -68,7 +61,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "serve/batcher.hh"
 #include "serve/pipeline.hh"
 #include "serve/registry.hh"
 #include "serve/request.hh"
@@ -81,12 +73,7 @@ namespace smash::serve
 /** Tuning knobs of one Session. */
 struct SessionOptions
 {
-    int threads = 4;     //!< pool workers running the stages
-    Index maxBatch = 16; //!< coalesce up to this many requests
-    std::chrono::microseconds maxDelay{200}; //!< kNormal cap (all slots busy)
-    /** kBatch flush cap; zero means 8 x maxDelay, and a value
-     *  below maxDelay is raised to it. */
-    std::chrono::microseconds batchDelay{0};
+    int threads = 4; //!< pool workers, each serving one request at a time
     /** In-flight request cap (submit → delivery); 0 = unbounded. */
     Index maxInflight = 0;
     /** Graceful-degradation ladder (shed.hh): under sustained
@@ -119,7 +106,7 @@ class Session
      * Submit y = A x. Validation failures (kNotFound for an unknown
      * matrix, kInvalidOperand for a wrong-length x) and admission
      * failures return as already-resolved futures; admitted
-     * requests resolve when their batch computes.
+     * requests resolve when their task computes them.
      */
     std::future<Result<std::vector<Value>>> submit(SpmvRequest req);
 
@@ -173,15 +160,13 @@ class Session
                               fmt::CooMatrix replacement);
     UpdateOutcome scaleValues(const std::string& matrix, Value factor);
 
-    /** Flush partial batches and wait for every in-flight request. */
+    /** Wait for every in-flight request. */
     void drain();
 
     const PipelineStats& stats() const { return pipeline_.stats(); }
     /** Admission rejections (kOverloaded) so far. */
     std::uint64_t overloadRejects() const { return overloaded_.load(); }
     int threads() const { return pool_.size(); }
-    Index maxBatch() const { return batcher_.maxBatch(); }
-    const Batcher& batcher() const { return batcher_; }
     /** The degradation ladder (tests/operators force levels and
      *  read the current one through this). */
     OverloadShedder& shedder() { return shedder_; }
@@ -220,28 +205,27 @@ class Session
                    Request::Clock::time_point expiry);
     /** Return one slot and wake blocked admitters. */
     void release();
-    /** Build the envelope and post stage 1. */
+    /** Build the envelope and post it to the pipeline. */
     template <typename Work>
-    void launch(QueueKey key, const RequestOptions& options,
+    void launch(std::string matrix, const RequestOptions& options,
                 Request::Clock::time_point now,
                 Request::Clock::time_point expiry,
                 std::shared_ptr<void> ticket, Work work);
     /**
      * The one body behind every submit overload: precheck, shed,
      * admit, then launch a Work built from @p payload and @p done.
-     * A refusal resolves @p done inline. @p matrix is the queue
-     * key's matrix (req.matrix, or req.a for SpAdd).
+     * A refusal resolves @p done inline. @p matrix is the matrix
+     * the request runs on (req.matrix, or req.a for SpAdd).
      */
     template <typename Work, typename Req, typename Payload>
-    void submitWork(Req& req, std::string& matrix, OpClass op,
-                    Payload& payload, decltype(Work::done) done);
+    void submitWork(Req& req, std::string& matrix, Payload& payload,
+                    decltype(Work::done) done);
 
     MatrixRegistry& registry_;
     const SessionOptions options_;
     exec::ThreadPool pool_;
     OverloadShedder shedder_; //!< before the pipeline feeding it
     Pipeline pipeline_;
-    Batcher batcher_; //!< declared after the pipeline it flushes into
     Gate gate_;
     std::atomic<std::uint64_t> overloaded_{0};
     /** Mirror of gate_.total for the shedder's lock-free signal. */

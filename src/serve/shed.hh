@@ -19,8 +19,8 @@
  *   in-flight fraction — current admitted requests over the
  *       session's maxInflight cap, against ShedOptions::inflightHigh;
  *   queue-latency EWMA — an exponentially weighted average of each
- *       delivered request's queue-side time (admit + prepare +
- *       batch wait), fed by the pipeline's deliver stage, against
+ *       delivered request's queue-side time (submit → its task
+ *       starting), fed by the pipeline's deliver stage, against
  *       ShedOptions::queueTarget.
  *
  * "Sustained" is enforced by stepping: the ladder moves at most

@@ -311,14 +311,13 @@ ShardedMatrix::reencodePending() const
 
 ShardedMatrix::EncodingPtr
 ShardedMatrix::shardEncoding(Index shard,
-                             std::optional<eng::Format> format,
-                             bool cachedOnly) const
+                             std::optional<eng::Format> format) const
 {
     Shard& sh = *shards_[static_cast<std::size_t>(shard)];
     std::lock_guard<std::mutex> lock(sh.mutex);
     if (format && *format != sh.decision.format)
         return nullptr;
-    if (!sh.encoding && !cachedOnly) {
+    if (!sh.encoding) {
         sh.encoding = std::make_shared<const eng::SparseMatrixAny>(
             eng::SparseMatrixAny::fromCsr(sh.master, sh.decision.format,
                                           build_));
@@ -351,17 +350,6 @@ ShardedMatrix::ensureEncoded()
     }
     if (!first.empty())
         runPinned(first, [this](Index i) { shardEncoding(i); });
-}
-
-bool
-ShardedMatrix::allEncoded() const
-{
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        if (!sh->encoding)
-            return false;
-    }
-    return true;
 }
 
 template <typename F>

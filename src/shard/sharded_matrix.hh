@@ -171,19 +171,15 @@ class ShardedMatrix
      *  after a mutation run inline on the caller. A failed build
      *  throws here. */
     void ensureEncoded();
-    /** True when every shard's encoding is built. */
-    bool allEncoded() const;
 
     /**
-     * Shard @p shard's current encoding, converting on first use
-     * unless @p cachedOnly. Null when @p cachedOnly finds none
-     * built, or when @p format is given and the shard serves a
+     * Shard @p shard's current encoding, converting on first use.
+     * Null when @p format is given and the shard serves a
      * different one (checked under the lock of the fetch, so a
      * racing re-encode cannot hand back another format).
      */
     EncodingPtr shardEncoding(Index shard,
-                              std::optional<eng::Format> format = {},
-                              bool cachedOnly = false) const;
+                              std::optional<eng::Format> format = {}) const;
 
     /**
      * y += A x. K=1 runs the engine straight into @p y; K>1

@@ -188,8 +188,9 @@ TEST(Bc, PathGraphCenterHighest)
     params.numSources = 5; // exact
     auto bc = bcCsr(adj, params, e);
     for (Index v = 0; v < 5; ++v) {
-        if (v != 2)
+        if (v != 2) {
             EXPECT_GT(bc[2], bc[static_cast<std::size_t>(v)]);
+        }
     }
 }
 

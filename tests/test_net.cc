@@ -48,6 +48,7 @@
 #include "net/demo_matrices.hh"
 #include "net/server.hh"
 #include "sim/exec_model.hh"
+#include "worker_pin.hh"
 
 namespace smash
 {
@@ -280,7 +281,7 @@ TEST(NetCodec, SpaddRequestRoundTrip)
 
 TEST(NetCodec, HelloRoundTrip)
 {
-    for (const std::string tenant :
+    for (const std::string& tenant :
          {std::string(""), std::string("team-a"),
           std::string(400, 'x')}) {
         net::Buffer bytes;
@@ -633,30 +634,44 @@ TEST(NetEndToEnd, SpmmAndSpaddRoundTrip)
 TEST(NetEndToEnd, OverloadedSurvivesTheWireUnderSaturation)
 {
     for (const int threads : threadCounts()) {
-        TestServer ts("sat", threads, /*max_inflight=*/2);
+        // Room for one pin per worker plus 2 queued requests.
+        TestServer ts("sat", threads, /*max_inflight=*/threads + 2);
+        testing::WorkerPin pin(ts.server->session(), "ranker",
+                               net::demoVector(0));
+        ASSERT_TRUE(pin.pinned()) << "threads " << threads;
         net::Client client = ts.connect(false);
         serve::RequestOptions burst;
-        burst.priority = serve::Priority::kBatch; // slow flush lane
         burst.admission = serve::Admission::kFailFast;
         int outstanding = 0;
         for (int i = 0; i < 128; ++i)
             if (client.sendSpmv(serve::SpmvRequest{
                     "ranker", net::demoVector(i), burst}) != 0)
                 ++outstanding;
-        ASSERT_GT(outstanding, 0);
+        ASSERT_EQ(outstanding, 128);
+        // Every worker is held, so the 2 admitted requests stay
+        // queued and the first 126 answers are the rejections.
         int ok = 0, overloaded = 0;
-        for (; outstanding > 0; --outstanding) {
+        for (int i = 0; i < 126; ++i) {
             const auto resp = client.readSpmvResponse();
             ASSERT_TRUE(resp.has_value());
-            if (resp->result.ok())
-                ++ok;
-            else if (resp->result.status().code() ==
-                     serve::StatusCode::kOverloaded)
+            EXPECT_EQ(resp->result.status().code(),
+                      serve::StatusCode::kOverloaded);
+            if (resp->result.status().code() ==
+                serve::StatusCode::kOverloaded)
                 ++overloaded;
         }
-        EXPECT_GT(ok, 0);
-        EXPECT_GT(overloaded, 0);
-        EXPECT_GT(ts.server->session().overloadRejects(), 0u);
+        pin.release();
+        for (int i = 0; i < 2; ++i) {
+            const auto resp = client.readSpmvResponse();
+            ASSERT_TRUE(resp.has_value());
+            EXPECT_TRUE(resp->result.ok())
+                << resp->result.status().toString();
+            if (resp->result.ok())
+                ++ok;
+        }
+        EXPECT_EQ(ok, 2);
+        EXPECT_EQ(overloaded, 126);
+        EXPECT_EQ(ts.server->session().overloadRejects(), 126u);
         ts.server->shutdown();
     }
 }
@@ -665,26 +680,36 @@ TEST(NetEndToEnd, PerConnectionInflightCapAnswersOverloaded)
 {
     TestServer ts("conncap", 2, /*max_inflight=*/0,
                   /*max_inflight_per_conn=*/1);
+    testing::WorkerPin pin(ts.server->session(), "ranker",
+                           net::demoVector(0));
+    ASSERT_TRUE(pin.pinned());
     net::Client client = ts.connect(false);
-    serve::RequestOptions slow;
-    slow.priority = serve::Priority::kBatch;
     int outstanding = 0;
     for (int i = 0; i < 64; ++i)
         if (client.sendSpmv(serve::SpmvRequest{
-                "ranker", net::demoVector(i), slow}) != 0)
+                "ranker", net::demoVector(i), {}}) != 0)
             ++outstanding;
+    ASSERT_EQ(outstanding, 64);
+    // The first request takes the connection's one slot and stays
+    // queued behind the held workers; the other 63 hit the wall.
     int ok = 0, overloaded = 0;
-    for (; outstanding > 0; --outstanding) {
+    for (int i = 0; i < 63; ++i) {
         const auto resp = client.readSpmvResponse();
         ASSERT_TRUE(resp.has_value());
-        if (resp->result.ok())
-            ++ok;
-        else if (resp->result.status().code() ==
-                 serve::StatusCode::kOverloaded)
+        EXPECT_EQ(resp->result.status().code(),
+                  serve::StatusCode::kOverloaded);
+        if (resp->result.status().code() ==
+            serve::StatusCode::kOverloaded)
             ++overloaded;
     }
-    EXPECT_GT(ok, 0);
-    EXPECT_GT(overloaded, 0);
+    pin.release();
+    const auto last = client.readSpmvResponse();
+    ASSERT_TRUE(last.has_value());
+    EXPECT_TRUE(last->result.ok()) << last->result.status().toString();
+    if (last->result.ok())
+        ++ok;
+    EXPECT_EQ(ok, 1);
+    EXPECT_EQ(overloaded, 63);
     // The per-connection wall, not the (unbounded) global gate.
     EXPECT_EQ(ts.server->session().overloadRejects(), 0u);
     ts.server->shutdown();
@@ -913,25 +938,40 @@ TEST(NetFaults, MidFrameDisconnectsNeverWedgeTheServer)
 TEST(NetLifecycle, DisconnectWithInflightReleasesAdmissionSlots)
 {
     for (const int threads : threadCounts()) {
-        // Global gate of 4: if a vanished client leaked its slots,
-        // the follow-up client would starve into kOverloaded.
-        TestServer ts("leak", threads, /*max_inflight=*/4);
-        for (int round = 0; round < 3; ++round) {
-            net::Client client = ts.connect(false);
-            serve::RequestOptions slow;
-            slow.priority = serve::Priority::kBatch;
-            for (int i = 0; i < 16; ++i)
-                client.sendSpmv(serve::SpmvRequest{
-                    "ranker", net::demoVector(i), slow});
-            client.close(); // vanish with everything in flight
-        }
+        // Room for one pin per worker plus 4 requests: if a
+        // vanished client leaked its slots, the follow-up client
+        // would starve into kOverloaded.
+        const Index gate = threads + 4;
+        TestServer ts("leak", threads, gate);
+        {
+            testing::WorkerPin pin(ts.server->session(), "ranker",
+                                   net::demoVector(0));
+            ASSERT_TRUE(pin.pinned()) << "threads " << threads;
+            for (int round = 0; round < 3; ++round) {
+                net::Client client = ts.connect(false);
+                for (int i = 0; i < 16; ++i)
+                    client.sendSpmv(serve::SpmvRequest{
+                        "ranker", net::demoVector(i), {}});
+                client.close(); // vanish with everything in flight
+            }
+            // The held workers keep the admitted requests queued
+            // until their clients are gone: the gate fills.
+            const auto deadline = std::chrono::steady_clock::now() +
+                std::chrono::seconds(30);
+            while (ts.server->session().stats().submitted.load() <
+                       static_cast<std::uint64_t>(gate) &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            EXPECT_EQ(ts.server->session().stats().submitted.load(),
+                      static_cast<std::uint64_t>(gate));
+        } // the pin lets go
         // SIGPIPE from the server writing those responses into the
         // dead sockets must not exist (MSG_NOSIGNAL) — and every
-        // admitted slot must come back. The vanished clients'
-        // buffered requests may still be draining (the conn threads
-        // read them after close()), so retry briefly: a leaked slot
-        // stays leaked forever, a busy slot frees within the batch
-        // delay.
+        // admitted slot must come back. The queued requests are
+        // still computing when the pin lets go, so retry briefly: a
+        // leaked slot stays leaked forever, a busy slot frees as
+        // soon as its request is delivered.
         net::Client client = ts.connect(false);
         bool served = false;
         for (int attempt = 0; attempt < 400 && !served; ++attempt) {

@@ -667,7 +667,6 @@ TEST(Reselect, DriftTriggersExactlyOneAsyncReencode)
 
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 4;
         serve::Session session(registry, opts);
 
         // Warm the cache so the drift path starts from a served

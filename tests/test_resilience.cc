@@ -60,6 +60,7 @@
 #include "serve/shed.hh"
 #include "serve/tenant.hh"
 #include "sim/exec_model.hh"
+#include "worker_pin.hh"
 
 namespace smash
 {
@@ -373,13 +374,15 @@ TEST(TenantQuotaWire, InflightCapSharedAcrossConnections)
         options.unixPath = socketPath("quota_inflight");
         options.session.threads = threads;
         options.tenantQuota.maxInflight = 2;
-        // Park admitted kBatch requests in the batcher long enough
-        // to observe the cap deterministically.
-        options.session.maxDelay = 10ms;
-        options.session.batchDelay = 500ms;
         net::Server server(registry, options);
         std::string error;
         ASSERT_TRUE(server.start(error)) << error;
+        // Hold every worker, so admitted requests stay in flight
+        // until the pin lets go and the cap is observed
+        // deterministically. The pins bypass the tenant governor.
+        testing::WorkerPin pin(server.session(), "ranker",
+                               net::demoVector(0));
+        ASSERT_TRUE(pin.pinned()) << "threads " << threads;
 
         net::Client conn1, conn2;
         ASSERT_TRUE(
@@ -389,13 +392,11 @@ TEST(TenantQuotaWire, InflightCapSharedAcrossConnections)
         ASSERT_TRUE(conn1.hello("team-a").ok());
         ASSERT_TRUE(conn2.hello("team-a").ok());
 
-        serve::RequestOptions batched;
-        batched.priority = serve::Priority::kBatch;
         ASSERT_NE(conn1.sendSpmv(serve::SpmvRequest{
-                      "ranker", net::demoVector(0), batched}),
+                      "ranker", net::demoVector(0), {}}),
                   0u);
         ASSERT_NE(conn1.sendSpmv(serve::SpmvRequest{
-                      "ranker", net::demoVector(1), batched}),
+                      "ranker", net::demoVector(1), {}}),
                   0u);
         ASSERT_TRUE(eventually([&] {
             return server.governor().inflightOf("team-a") == 2;
@@ -408,7 +409,8 @@ TEST(TenantQuotaWire, InflightCapSharedAcrossConnections)
         EXPECT_EQ(denied.status().code(),
                   serve::StatusCode::kQuotaExceeded);
 
-        // Drain the parked requests; the slots come back.
+        // Let the queued requests run; the slots come back.
+        pin.release();
         for (int i = 0; i < 2; ++i) {
             const auto resp = conn1.readSpmvResponse();
             ASSERT_TRUE(resp.has_value());
@@ -471,23 +473,25 @@ TEST(Reaper, ConnectionWithInflightRequestIsNotReaped)
         options.unixPath = socketPath("reap_busy");
         options.session.threads = threads;
         options.idleTimeout = 80ms;
-        // The parked kBatch request outlives several reaper scans.
-        options.session.maxDelay = 10ms;
-        options.session.batchDelay = 400ms;
         net::Server server(registry, options);
         std::string error;
         ASSERT_TRUE(server.start(error)) << error;
+        testing::WorkerPin pin(server.session(), "ranker",
+                               net::demoVector(0));
+        ASSERT_TRUE(pin.pinned()) << "threads " << threads;
 
         net::Client client;
         ASSERT_TRUE(
             client.connectUnixSocket(options.unixPath, error));
-        serve::RequestOptions batched;
-        batched.priority = serve::Priority::kBatch;
         ASSERT_NE(client.sendSpmv(serve::SpmvRequest{
-                      "ranker", net::demoVector(0), batched}),
+                      "ranker", net::demoVector(0), {}}),
                   0u);
         // Quiet socket + in-flight request, across many timeouts:
-        // the response must still arrive on this connection.
+        // the request stays queued behind the held workers for 400
+        // ms (five idle timeouts), and its response must still
+        // arrive on this connection.
+        std::this_thread::sleep_for(400ms);
+        pin.release();
         const auto resp = client.readSpmvResponse();
         ASSERT_TRUE(resp.has_value());
         EXPECT_TRUE(resp->result.ok());

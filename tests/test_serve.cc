@@ -5,11 +5,13 @@
  * engine and through a session, on every served format), the
  * parallel SpMM/SpAdd drivers, thread-pool shutdown semantics, the
  * matrix registry's conversion caching — and the typed
- * serve::Result surface: status codes instead of exceptions,
- * per-(matrix, op) batching with priority-aware flush ordering and
- * work-conserving (idle) flushes into free compute slots, admission
+ * serve::Result surface: status codes instead of exceptions, one
+ * pool task per request with priority-ordered starts, admission
  * control (kOverloaded fail-fast, kBlock eventual completion),
  * deadlines, and the per-priority latency accounting.
+ *
+ * Tests that need requests to stay queued hold every worker with a
+ * WorkerPin (worker_pin.hh) and let go when they are ready.
  *
  * Thread counts: SMASH_SERVE_THREADS pins one count (the ctest
  * variants run 1, 2, and 8); unset, every count is covered.
@@ -21,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -38,6 +41,7 @@
 #include "obs/metrics.hh"
 #include "serve/session.hh"
 #include "workloads/matrix_gen.hh"
+#include "worker_pin.hh"
 
 namespace smash
 {
@@ -396,298 +400,6 @@ TEST(ThreadPoolShutdown, NestedParallelForProgresses)
     }
 }
 
-serve::QueueKey
-spmvKey(std::string matrix)
-{
-    return serve::QueueKey{std::move(matrix), serve::OpClass::kSpmv};
-}
-
-serve::Request
-plainRequest(serve::Priority priority = serve::Priority::kNormal)
-{
-    serve::Request r;
-    r.options.priority = priority;
-    r.submitted = serve::Request::Clock::now();
-    return r;
-}
-
-TEST(Batcher, FlushAllWithZeroPendingInvokesNothing)
-{
-    std::atomic<int> flushes{0};
-    {
-        serve::Batcher batcher(
-            4, std::chrono::microseconds(50),
-            std::chrono::microseconds(400),
-            [&flushes](const serve::QueueKey&,
-                       std::vector<serve::Request>) {
-                flushes.fetch_add(1);
-            });
-        batcher.flushAll(); // nothing queued: no callback
-        batcher.flushAll(); // idempotent on empty queues
-        EXPECT_EQ(flushes.load(), 0);
-        EXPECT_EQ(batcher.sizeFlushes(), 0u);
-        EXPECT_EQ(batcher.deadlineFlushes(), 0u);
-        EXPECT_EQ(batcher.manualFlushes(), 0u);
-    } // destructor flushes nothing either
-    EXPECT_EQ(flushes.load(), 0);
-}
-
-TEST(Batcher, DeadlineShorterThanOnePollTickStillFlushes)
-{
-    // A 1 microsecond deadline is far below any scheduler tick: by
-    // the time the timer thread evaluates it, it has already
-    // passed. The partial batch must flush promptly anyway (via
-    // the timeout path), not hang until max_batch fills.
-    std::atomic<int> delivered{0};
-    serve::Batcher batcher(
-        64, std::chrono::microseconds(1), std::chrono::microseconds(8),
-        [&delivered](const serve::QueueKey&,
-                     std::vector<serve::Request> batch) {
-            delivered.fetch_add(static_cast<int>(batch.size()));
-        });
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    const auto deadline = std::chrono::steady_clock::now() +
-        std::chrono::seconds(5);
-    while (delivered.load() < 1 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    EXPECT_EQ(delivered.load(), 1);
-    EXPECT_EQ(batcher.deadlineFlushes(), 1u);
-    EXPECT_EQ(batcher.sizeFlushes(), 0u);
-}
-
-TEST(Batcher, ManualFlushesCountedSeparately)
-{
-    std::atomic<int> flushes{0};
-    serve::Batcher batcher(
-        64, std::chrono::seconds(10), std::chrono::seconds(10),
-        [&flushes](const serve::QueueKey&,
-                   std::vector<serve::Request>) {
-            flushes.fetch_add(1);
-        });
-    batcher.enqueue(spmvKey("a"), plainRequest());
-    batcher.enqueue(spmvKey("b"), plainRequest());
-    batcher.enqueue(serve::QueueKey{"a", serve::OpClass::kSpadd},
-                    plainRequest());
-    EXPECT_EQ(flushes.load(), 0);
-    batcher.flushAll();
-    EXPECT_EQ(flushes.load(), 3); // one per non-empty queue
-    EXPECT_EQ(batcher.manualFlushes(), 3u);
-    EXPECT_EQ(batcher.sizeFlushes(), 0u);
-    EXPECT_EQ(batcher.deadlineFlushes(), 0u);
-    batcher.flushAll(); // queues now empty: nothing more counted
-    EXPECT_EQ(batcher.manualFlushes(), 3u);
-}
-
-TEST(Batcher, OpClassesDoNotShareQueues)
-{
-    // Same matrix, different op classes: max_batch applies per
-    // queue, so two requests never coalesce across classes.
-    std::mutex mu;
-    std::vector<serve::OpClass> flushed;
-    serve::Batcher batcher(
-        2, std::chrono::seconds(10), std::chrono::seconds(10),
-        [&](const serve::QueueKey& key, std::vector<serve::Request>) {
-            std::lock_guard<std::mutex> lock(mu);
-            flushed.push_back(key.op);
-        });
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    batcher.enqueue(serve::QueueKey{"m", serve::OpClass::kSpmm},
-                    plainRequest());
-    EXPECT_TRUE(flushed.empty()); // neither queue reached size 2
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        ASSERT_EQ(flushed.size(), 1u); // the SpMV queue, by size
-        EXPECT_EQ(flushed[0], serve::OpClass::kSpmv);
-    }
-    EXPECT_EQ(batcher.sizeFlushes(), 1u);
-    batcher.flushAll(); // the parked SpMM request
-    EXPECT_EQ(batcher.manualFlushes(), 1u);
-}
-
-TEST(Batcher, HighPriorityFlushesInlineAndDragsItsQueue)
-{
-    std::mutex mu;
-    std::vector<std::size_t> batch_sizes;
-    serve::Batcher batcher(
-        64, std::chrono::seconds(10), std::chrono::seconds(10),
-        [&](const serve::QueueKey&, std::vector<serve::Request> b) {
-            std::lock_guard<std::mutex> lock(mu);
-            batch_sizes.push_back(b.size());
-        });
-    batcher.enqueue(spmvKey("m"),
-                    plainRequest(serve::Priority::kBatch));
-    batcher.enqueue(spmvKey("m"),
-                    plainRequest(serve::Priority::kBatch));
-    EXPECT_TRUE(batch_sizes.empty());
-    // The kHigh arrival flushes the whole queue inline — the two
-    // parked kBatch requests ride along with it.
-    batcher.enqueue(spmvKey("m"),
-                    plainRequest(serve::Priority::kHigh));
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        ASSERT_EQ(batch_sizes.size(), 1u);
-        EXPECT_EQ(batch_sizes[0], 3u);
-    }
-    EXPECT_EQ(batcher.priorityFlushes(), 1u);
-    EXPECT_EQ(batcher.sizeFlushes(), 0u);
-}
-
-TEST(Batcher, FlushAllOrdersQueuesByPriority)
-{
-    std::mutex mu;
-    std::vector<std::string> order;
-    serve::Batcher batcher(
-        64, std::chrono::seconds(10), std::chrono::seconds(10),
-        [&](const serve::QueueKey& key, std::vector<serve::Request>) {
-            std::lock_guard<std::mutex> lock(mu);
-            order.push_back(key.matrix);
-        });
-    batcher.enqueue(spmvKey("bulk"),
-                    plainRequest(serve::Priority::kBatch));
-    batcher.enqueue(spmvKey("interactive"),
-                    plainRequest(serve::Priority::kNormal));
-    batcher.flushAll();
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], "interactive"); // kNormal ahead of kBatch
-    EXPECT_EQ(order[1], "bulk");
-}
-
-/** Batch sizes a test batcher flushed, in order. */
-struct FlushLog
-{
-    std::mutex mu;
-    std::vector<std::size_t> sizes;
-
-    serve::Batcher::FlushFn
-    fn()
-    {
-        return [this](const serve::QueueKey&,
-                      std::vector<serve::Request> batch) {
-            std::lock_guard<std::mutex> lock(mu);
-            sizes.push_back(batch.size());
-        };
-    }
-
-    std::vector<std::size_t>
-    snapshot()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return sizes;
-    }
-};
-
-TEST(Batcher, FreeSlotFlushesNormalInlineAsIdle)
-{
-    const auto idle_before = obs::MetricsRegistry::global().counterValue(
-        "smash_batcher_flushes_total{reason=\"idle\"}");
-    FlushLog log;
-    serve::Batcher batcher(64, std::chrono::seconds(10),
-                           std::chrono::seconds(10), log.fn(),
-                           /*compute_slots=*/2);
-    EXPECT_EQ(batcher.computeSlots(), 2);
-    // Both slots free: each kNormal arrival leaves at once, alone,
-    // on the enqueuing thread — no waiting out the 10 s cap.
-    batcher.enqueue(spmvKey("a"), plainRequest());
-    batcher.enqueue(spmvKey("a"), plainRequest());
-    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 1}));
-    EXPECT_EQ(batcher.idleFlushes(), 2u);
-    EXPECT_EQ(batcher.deadlineFlushes(), 0u);
-    EXPECT_EQ(batcher.sizeFlushes(), 0u);
-    EXPECT_EQ(obs::MetricsRegistry::global().counterValue(
-                  "smash_batcher_flushes_total{reason=\"idle\"}"),
-              idle_before + 2);
-    batcher.computeEnded();
-    batcher.computeEnded();
-}
-
-TEST(Batcher, AllSlotsBusyWaitsForSizeOrDeadline)
-{
-    {
-        FlushLog log;
-        serve::Batcher batcher(2, std::chrono::seconds(10),
-                               std::chrono::seconds(10), log.fn(),
-                               /*compute_slots=*/1);
-        batcher.enqueue(spmvKey("m"), plainRequest()); // takes the slot
-        batcher.enqueue(spmvKey("m"), plainRequest()); // held
-        EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1}));
-        batcher.enqueue(spmvKey("m"), plainRequest()); // fills maxBatch
-        EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 2}));
-        EXPECT_EQ(batcher.idleFlushes(), 1u);
-        EXPECT_EQ(batcher.sizeFlushes(), 1u);
-    }
-    {
-        // The cap still binds while every slot is busy: the held
-        // request leaves by deadline, never by the (absent) end of
-        // compute.
-        FlushLog log;
-        serve::Batcher batcher(64, std::chrono::milliseconds(2),
-                               std::chrono::milliseconds(16), log.fn(),
-                               /*compute_slots=*/1);
-        batcher.enqueue(spmvKey("m"), plainRequest());
-        batcher.enqueue(spmvKey("m"), plainRequest());
-        const auto give_up = std::chrono::steady_clock::now() +
-            std::chrono::seconds(5);
-        while (log.snapshot().size() < 2 &&
-               std::chrono::steady_clock::now() < give_up)
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 1}));
-        EXPECT_EQ(batcher.idleFlushes(), 1u);
-        EXPECT_EQ(batcher.deadlineFlushes(), 1u);
-    }
-}
-
-TEST(Batcher, ComputeEndFlushesHeldNormalWork)
-{
-    FlushLog log;
-    serve::Batcher batcher(64, std::chrono::seconds(10),
-                           std::chrono::seconds(10), log.fn(),
-                           /*compute_slots=*/1);
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1}));
-    // The running batch ends: its slot goes straight to the two
-    // held requests, as one batch, on the calling thread.
-    batcher.computeEnded();
-    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 2}));
-    EXPECT_EQ(batcher.idleFlushes(), 2u);
-    // Nothing held: the next end only frees the slot ...
-    batcher.computeEnded();
-    EXPECT_EQ(log.snapshot().size(), 2u);
-    // ... which the next arrival takes at once.
-    batcher.enqueue(spmvKey("m"), plainRequest());
-    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 2, 1}));
-    EXPECT_EQ(batcher.deadlineFlushes(), 0u);
-    batcher.computeEnded();
-}
-
-TEST(Batcher, BatchAndHighIgnoreFreeSlots)
-{
-    FlushLog log;
-    serve::Batcher batcher(64, std::chrono::seconds(10),
-                           std::chrono::seconds(10), log.fn(),
-                           /*compute_slots=*/4);
-    // kBatch waits for company even with every slot free.
-    batcher.enqueue(spmvKey("bulk"),
-                    plainRequest(serve::Priority::kBatch));
-    EXPECT_TRUE(log.snapshot().empty());
-    // kHigh flushes as before, counted as a priority flush.
-    batcher.enqueue(spmvKey("hot"), plainRequest(serve::Priority::kHigh));
-    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1}));
-    EXPECT_EQ(batcher.priorityFlushes(), 1u);
-    // The end of a compute does not pull held kBatch work either.
-    batcher.computeEnded();
-    EXPECT_EQ(log.snapshot().size(), 1u);
-    EXPECT_EQ(batcher.idleFlushes(), 0u);
-    batcher.flushAll();
-    EXPECT_EQ(log.snapshot(), (std::vector<std::size_t>{1, 1}));
-    EXPECT_EQ(batcher.manualFlushes(), 1u);
-    batcher.computeEnded();
-}
-
 TEST(ServeRegistry, SelectsOnceAndCachesConversions)
 {
     serve::MatrixRegistry registry;
@@ -746,12 +458,6 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
     for (int threads : threadCounts()) {
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 8;
-        // kBatch waits for company (a free compute slot never
-        // flushes it) and its cap is long enough that no deadline
-        // flush fires: every batch leaves the batcher because its
-        // queue reached maxBatch.
-        opts.batchDelay = std::chrono::seconds(10);
         serve::Session session(registry, opts);
 
         serve::RequestOptions ropts;
@@ -774,13 +480,8 @@ TEST(ServeSession, BatchedEqualsIndividualSpmv)
         session.drain();
         EXPECT_EQ(session.stats().completed.load(), 40u);
         EXPECT_EQ(session.stats().failed.load(), 0u);
-        // The batcher still coalesced: one compute task per full
-        // batch, not per request.
-        EXPECT_EQ(session.stats().batches.load(),
-                  static_cast<std::uint64_t>(n_req / opts.maxBatch))
-            << "threads " << threads;
-        EXPECT_EQ(session.stats().widestBatch.load(),
-                  static_cast<std::uint64_t>(opts.maxBatch))
+        // One compute per request.
+        EXPECT_EQ(session.stats().batches.load(), 40u)
             << "threads " << threads;
     }
 }
@@ -803,8 +504,8 @@ randomBanded(Index n, Index half, std::uint64_t seed)
 
 TEST(ServeSession, BatchedAnswersBitIdenticalAcrossServedFormats)
 {
-    // Whatever company a request keeps in its batch, its answer is
-    // the unbatched one bit for bit: serial eng::spmv on the entry's
+    // Whatever requests run beside it, a request's answer is the
+    // direct one bit for bit: serial eng::spmv on the entry's
     // encoding for K=1, the stack's own spmv for K=4. Random x and
     // matrix values make any second summation order show.
     const Index n = 240;
@@ -842,53 +543,38 @@ TEST(ServeSession, BatchedAnswersBitIdenticalAcrossServedFormats)
     };
 
     for (int threads : threadCounts()) {
-        for (Index max_batch : {2, 16}) {
-            serve::SessionOptions opts;
-            opts.threads = threads;
-            opts.maxBatch = max_batch;
-            // kBatch waits for company; every queue fills to
-            // maxBatch long before this delay runs out.
-            opts.batchDelay = std::chrono::seconds(10);
-            serve::Session session(registry, opts);
-            serve::RequestOptions ropts;
-            ropts.priority = serve::Priority::kBatch;
-            std::vector<std::future<serve::Result<std::vector<Value>>>>
-                futures;
-            for (const std::string& name : names)
-                for (const std::vector<Value>& x : xs)
-                    futures.push_back(session.submit(
-                        serve::SpmvRequest{name, x, ropts}));
-            std::size_t k = 0;
-            for (const std::string& name : names) {
-                for (const std::vector<Value>& x : xs) {
-                    serve::Result<std::vector<Value>> result =
-                        futures[k++].get();
-                    ASSERT_TRUE(result.ok())
-                        << result.status().toString();
-                    EXPECT_TRUE(sameBits(result.value(), oracle(name, x)))
-                        << name << " threads " << threads
-                        << " maxBatch " << max_batch;
-                }
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        serve::Session session(registry, opts);
+        serve::RequestOptions ropts;
+        ropts.priority = serve::Priority::kBatch;
+        std::vector<std::future<serve::Result<std::vector<Value>>>>
+            futures;
+        for (const std::string& name : names)
+            for (const std::vector<Value>& x : xs)
+                futures.push_back(
+                    session.submit(serve::SpmvRequest{name, x, ropts}));
+        std::size_t k = 0;
+        for (const std::string& name : names) {
+            for (const std::vector<Value>& x : xs) {
+                serve::Result<std::vector<Value>> result =
+                    futures[k++].get();
+                ASSERT_TRUE(result.ok()) << result.status().toString();
+                EXPECT_TRUE(sameBits(result.value(), oracle(name, x)))
+                    << name << " threads " << threads;
             }
-            session.drain();
-            EXPECT_EQ(session.stats().widestBatch.load(),
-                      static_cast<std::uint64_t>(max_batch));
         }
     }
 }
 
-TEST(ServeSession, LoneNormalRequestSkipsMaxDelay)
+TEST(ServeSession, LoneRequestCompletesPromptly)
 {
     serve::MatrixRegistry registry;
     registry.put("m", wl::genClustered(96, 96, 1000, 5, 43));
     for (int threads : threadCounts()) {
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 8;
-        opts.maxDelay = std::chrono::seconds(10);
         serve::Session session(registry, opts);
-        // Every batch computes on one worker: one slot per worker.
-        EXPECT_EQ(session.batcher().computeSlots(), threads);
 
         for (Index r = 0; r < 3; ++r) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -901,9 +587,6 @@ TEST(ServeSession, LoneNormalRequestSkipsMaxDelay)
                 << "threads " << threads;
             ASSERT_TRUE(f.get().ok());
         }
-        session.drain();
-        EXPECT_EQ(session.batcher().deadlineFlushes(), 0u);
-        EXPECT_GE(session.batcher().idleFlushes(), 3u);
     }
 }
 
@@ -932,10 +615,8 @@ TEST(ServeSession, SecondSubmitDoesNotReconvert)
 TEST(ServeSession, CompletesUnderOutOfOrderArrival)
 {
     // Requests against several matrices, submitted from several
-    // client threads at mixed priorities: stage-1 scheduling
-    // scrambles arrival order at the batcher, conversions
-    // interleave with computes, and some batches flush by size
-    // while others wait out a deadline or ride a kHigh flush.
+    // client threads at mixed priorities: priority reorders starts,
+    // and first-touch conversions interleave with computes.
     serve::MatrixRegistry registry;
     registry.put("alpha", wl::genClustered(160, 160, 2400, 6, 51));
     registry.put("beta", wl::genPowerLaw(120, 120, 1500, 1.1, 52));
@@ -947,8 +628,6 @@ TEST(ServeSession, CompletesUnderOutOfOrderArrival)
     for (int threads : threadCounts()) {
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 4;
-        opts.maxDelay = std::chrono::microseconds(100);
         serve::Session session(registry, opts);
 
         const char* names[] = {"alpha", "beta", "gamma"};
@@ -1060,7 +739,7 @@ TEST(TypedApi, CloseResolvesLaterSubmitsAsShuttingDown)
 
 TEST(ServeSpmm, ServedBlocksBitIdenticalToDirectSpmm)
 {
-    // SpMM requests served through the batcher must be
+    // SpMM requests served through a session must be
     // bit-identical to the direct eng::spmvBatch result (each block
     // computes alone), and, since dyadic values make every
     // summation order exact, to eng::spmm's sparse-B route too.
@@ -1071,8 +750,6 @@ TEST(ServeSpmm, ServedBlocksBitIdenticalToDirectSpmm)
         registry.put("m", coo, eng::Format::kCsr);
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 16;
-        opts.maxDelay = std::chrono::microseconds(500);
         serve::Session session(registry, opts);
 
         const Index widths[] = {1, 3, 5, 2};
@@ -1151,16 +828,16 @@ TEST(Admission, FailFastSaturationReturnsOverloaded)
     for (int threads : threadCounts()) {
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 64;               // nothing flushes by size
-        opts.maxDelay = std::chrono::seconds(10); // ... or deadline
-        opts.batchDelay = std::chrono::seconds(10);
-        opts.maxInflight = 4;
+        // Room for one pin per worker plus 4 queued requests.
+        opts.maxInflight = threads + 4;
         serve::Session session(registry, opts);
+        testing::WorkerPin pin(session, "m", rampVector(128, 0));
+        ASSERT_TRUE(pin.pinned()) << "threads " << threads;
 
-        // kBatch priority parks the admitted requests in the
-        // batcher; with the limit at 4, submits 5..10 must be
-        // denied — deterministically, since nothing can complete
-        // until drain() flushes.
+        // Every worker is held, so admitted requests stay queued
+        // with their tickets: of 10 submits, 4 are admitted and
+        // 5..10 must be denied — deterministically, since nothing
+        // can complete until the pin lets go.
         std::vector<std::future<serve::Result<std::vector<Value>>>>
             futures;
         serve::RequestOptions ropts;
@@ -1170,9 +847,8 @@ TEST(Admission, FailFastSaturationReturnsOverloaded)
             futures.push_back(session.submit(serve::SpmvRequest{
                 "m", rampVector(128, r % 4), ropts}));
 
-        // Classify before any drain: rejected futures are ready
-        // immediately, admitted ones are parked (nothing can flush
-        // them yet).
+        // Classify before releasing: rejected futures are ready
+        // immediately, admitted ones are queued.
         std::vector<std::size_t> rejected, admitted;
         for (std::size_t r = 0; r < 10; ++r) {
             if (futures[r].wait_for(std::chrono::seconds(0)) ==
@@ -1188,16 +864,17 @@ TEST(Admission, FailFastSaturationReturnsOverloaded)
             EXPECT_EQ(result.status().code(),
                       serve::StatusCode::kOverloaded);
         }
-        session.drain(); // flush the parked batch
+        pin.release();
         for (std::size_t r : admitted)
             ASSERT_TRUE(futures[r].get().ok());
         EXPECT_EQ(admitted.size(), 4u);
         EXPECT_EQ(rejected.size(), 6u);
         EXPECT_EQ(session.overloadRejects(), 6u);
         session.drain();
-        EXPECT_EQ(session.stats().completed.load(), 4u);
+        // The 4 admitted requests and the pins.
+        EXPECT_EQ(session.stats().completed.load(),
+                  static_cast<std::uint64_t>(4 + threads));
         EXPECT_EQ(session.stats().failed.load(), 0u);
-        EXPECT_GE(session.batcher().manualFlushes(), 1u);
     }
 }
 
@@ -1208,8 +885,6 @@ TEST(Admission, BlockingRequestsEventuallyComplete)
     for (int threads : threadCounts()) {
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 2;
-        opts.maxDelay = std::chrono::microseconds(500);
         opts.maxInflight = 2;
         serve::Session session(registry, opts);
 
@@ -1243,53 +918,56 @@ TEST(Admission, BlockingRequestsEventuallyComplete)
     }
 }
 
-TEST(Priorities, HighFlushesAheadOfBatch)
+TEST(Priorities, HighStartsAheadOfQueuedWork)
 {
     serve::MatrixRegistry registry;
-    registry.put("bulk", wl::genClustered(96, 96, 1000, 5, 71));
-    registry.put("hot", wl::genClustered(96, 96, 1000, 5, 72));
+    registry.put("m", wl::genClustered(96, 96, 1000, 5, 71));
     for (int threads : threadCounts()) {
+        // Declared before the session, so they outlive every
+        // callback that records into them.
+        std::mutex mutex;
+        std::condition_variable done;
+        std::vector<serve::Priority> order;
         serve::SessionOptions opts;
         opts.threads = threads;
-        opts.maxBatch = 64;
-        opts.maxDelay = std::chrono::seconds(10);
-        opts.batchDelay = std::chrono::seconds(10);
         serve::Session session(registry, opts);
+        testing::WorkerPin pin(session, "m", rampVector(96, 0));
+        ASSERT_TRUE(pin.pinned()) << "threads " << threads;
 
-        serve::RequestOptions batchOpts;
-        batchOpts.priority = serve::Priority::kBatch;
-        auto bulk = session.submit(serve::SpmvRequest{
-            "bulk", rampVector(96, 0), batchOpts});
+        // Queue kBatch, then kNormal, then kHigh behind the held
+        // workers; each completion records its priority.
+        for (serve::Priority p :
+             {serve::Priority::kBatch, serve::Priority::kNormal,
+              serve::Priority::kHigh}) {
+            serve::RequestOptions ropts;
+            ropts.priority = p;
+            session.submit(
+                serve::SpmvRequest{"m", rampVector(96, 1), ropts},
+                [&, p](serve::Result<std::vector<Value>> r) {
+                    EXPECT_TRUE(r.ok()) << r.status().toString();
+                    std::lock_guard<std::mutex> lock(mutex);
+                    order.push_back(p);
+                    done.notify_all();
+                });
+        }
 
-        serve::RequestOptions highOpts;
-        highOpts.priority = serve::Priority::kHigh;
-        auto hot = session.submit(serve::SpmvRequest{
-            "hot", rampVector(96, 1), highOpts});
-
-        // The kHigh request completes promptly (its arrival flushes
-        // its queue inline); the kBatch request is still parked —
-        // its flush cap is 10 s away.
-        ASSERT_EQ(hot.wait_for(std::chrono::seconds(30)),
-                  std::future_status::ready);
-        ASSERT_TRUE(hot.get().ok());
-        EXPECT_EQ(bulk.wait_for(std::chrono::seconds(0)),
-                  std::future_status::timeout)
-            << "kBatch request flushed ahead of its cap";
-
-        // A kHigh arrival on the *same* queue drags parked kBatch
-        // work along with it.
-        auto parked = session.submit(serve::SpmvRequest{
-            "hot", rampVector(96, 2), batchOpts});
-        auto urgent = session.submit(serve::SpmvRequest{
-            "hot", rampVector(96, 3), highOpts});
-        ASSERT_EQ(parked.wait_for(std::chrono::seconds(30)),
-                  std::future_status::ready);
-        ASSERT_TRUE(parked.get().ok());
-        ASSERT_TRUE(urgent.get().ok());
-        EXPECT_GE(session.batcher().priorityFlushes(), 2u);
-
-        session.drain(); // releases the parked "bulk" request
-        ASSERT_TRUE(bulk.get().ok());
+        // Let one worker go: it alone runs the three queued
+        // requests, one after another, so completion order is
+        // start order.
+        pin.releaseOne();
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            ASSERT_TRUE(done.wait_for(lock, std::chrono::seconds(30),
+                                      [&] { return order.size() == 3; }))
+                << "threads " << threads;
+            EXPECT_EQ(order,
+                      (std::vector<serve::Priority>{
+                          serve::Priority::kHigh, serve::Priority::kNormal,
+                          serve::Priority::kBatch}))
+                << "threads " << threads;
+        }
+        pin.release();
+        session.drain();
     }
 }
 
@@ -1299,36 +977,40 @@ TEST(Deadlines, ExpiredRequestResolvesDeadlineExceeded)
     registry.put("m", wl::genClustered(64, 64, 600, 4, 81));
     serve::SessionOptions opts;
     opts.threads = threadCounts().front();
-    opts.maxBatch = 64;
-    opts.maxDelay = std::chrono::seconds(10);
-    opts.batchDelay = std::chrono::seconds(10);
     serve::Session session(registry, opts);
+    testing::WorkerPin pin(session, "m", rampVector(64, 0));
+    ASSERT_TRUE(pin.pinned());
 
-    // A 1 ms deadline undercuts the 10 s flush caps: the deadline
-    // tightens the queue's flush time, the timer surfaces the
-    // request right after it expires, and compute sheds it.
+    // A 1 ms deadline on a request queued behind held workers: it
+    // cannot start before its budget runs out, so its task sheds it
+    // instead of computing.
     serve::RequestOptions ropts;
     ropts.priority = serve::Priority::kBatch;
     ropts.deadline = std::chrono::milliseconds(1);
     auto f = session.submit(serve::SpmvRequest{
         "m", rampVector(64, 0), ropts});
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    pin.release();
     ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
               std::future_status::ready);
     EXPECT_EQ(f.get().status().code(),
               serve::StatusCode::kDeadlineExceeded);
     session.drain();
     EXPECT_EQ(session.stats().expired.load(), 1u);
-    EXPECT_EQ(session.stats().completed.load(), 0u);
+    // Only the pins computed.
+    EXPECT_EQ(session.stats().completed.load(),
+              static_cast<std::uint64_t>(session.threads()));
+    EXPECT_EQ(session.stats().batches.load(),
+              static_cast<std::uint64_t>(session.threads()));
 }
 
 TEST(ServeSession, RejectsBadOptionsWithoutTerminating)
 {
+    // Must throw (catchable), not std::terminate during
+    // constructor unwinding.
     serve::MatrixRegistry registry;
-    serve::SessionOptions opts;
-    opts.maxBatch = 0;
-    // Must throw (catchable), not std::terminate on a joinable
-    // timer thread during constructor unwinding.
-    EXPECT_THROW(serve::Session session(registry, opts), FatalError);
     serve::SessionOptions neg;
     neg.maxInflight = -1;
     EXPECT_THROW(serve::Session session(registry, neg), FatalError);

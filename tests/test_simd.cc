@@ -79,25 +79,28 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void
+// The deletes stay out of line: inlined into a delete-expression,
+// their free() would meet a pointer from operator new, which g++
+// reports as -Wmismatched-new-delete.
+[[gnu::noinline]] void
 operator delete(void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p, std::size_t) noexcept
 {
     std::free(p);

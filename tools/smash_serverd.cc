@@ -17,7 +17,6 @@
  *   --max-inflight N         global admission cap (default 64;
  *                            0 = unbounded)
  *   --max-inflight-per-conn N  per-connection cap (default 0)
- *   --max-batch N            batch coalescing cap (default 16)
  *   --shards K               register the demo matrices sharded
  *                            into K row bands (default 1 = plain);
  *                            wire answers are bit-identical either
@@ -67,8 +66,7 @@ usage(const char* argv0)
     std::cerr << "usage: " << argv0
               << " [--unix PATH] [--tcp PORT] [--threads N]\n"
               << "       [--max-inflight N] "
-                 "[--max-inflight-per-conn N] [--max-batch N] "
-                 "[--shards K]\n"
+                 "[--max-inflight-per-conn N] [--shards K]\n"
               << "       [--idle-timeout MS] [--http-metrics PORT] "
                  "[--shed-target-us US]\n"
               << "       [--tenant-rate R] [--tenant-burst B] "
@@ -136,11 +134,6 @@ main(int argc, char** argv)
             if (!ok || n < 0)
                 return usage(argv[0]);
             options.maxInflightPerConn = static_cast<Index>(n);
-        } else if (arg == "--max-batch" && has_value) {
-            const long n = parseLong(argv[++i], ok);
-            if (!ok || n < 1)
-                return usage(argv[0]);
-            options.session.maxBatch = static_cast<Index>(n);
         } else if (arg == "--shards" && has_value) {
             const long n = parseLong(argv[++i], ok);
             if (!ok || n < 1)

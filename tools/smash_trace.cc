@@ -11,7 +11,7 @@
  *   smash_trace --validate --expect CAT ... FILE
  *                                    additionally require >= 1 event
  *                                    of each named category (CI uses
- *                                    pool batcher pipeline dispatch
+ *                                    pool pipeline dispatch
  *                                    plan_cache)
  *
  * The validator is the same self-contained parser the unit tests
